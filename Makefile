@@ -4,7 +4,11 @@ GO ?= go
 # benchdiff reruns exactly these. SnapshotInto lives in internal/core.
 BENCHDIFF_PATTERN = HotPath|Fig8Tco|FrameCodec|MarshalAppend$$|MultiGroupThroughput
 
-.PHONY: check vet build test race bench benchdiff
+# The wall-clock runtime tests whose outcome depends on goroutine
+# scheduling; make stress repeats them across GOMAXPROCS settings.
+STRESS_TESTS = ^(TestUDPWirePathEquivalence|TestClusterCloseReleasesGoroutines|TestNodeGoroutineBudget|TestClusterMultiGroupConverges|TestDefaultGroupPortDelegates|TestMaxGroupsBound|TestUDPMultiGroupConverges|TestUDPUnknownGroupCounted|TestGroupStatezSections)$$
+
+.PHONY: check vet build test race stress bench benchdiff
 
 ## check: the full pre-merge gate (vet + build + race tests + bench smoke)
 check:
@@ -21,6 +25,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## stress: the scheduling-dependent runtime tests, 20 times at each of
+## GOMAXPROCS 1, 2 and 4 under the race detector, so an outcome that
+## hinges on goroutine timing fails here instead of intermittently
+stress:
+	$(GO) test -race . -count=20 -cpu 1,2,4 -run '$(STRESS_TESTS)'
 
 ## bench: every paper table/figure benchmark with allocation stats
 bench:

@@ -7,6 +7,7 @@ package cobcast_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1004,5 +1005,62 @@ func BenchmarkMultiGroupThroughput(b *testing.B) {
 			c.Close()
 			wg.Wait()
 		})
+	}
+}
+
+// inboxTransport is a Transport whose inbound side is a plain channel
+// the benchmark writes pre-encoded datagrams into; sends are dropped.
+type inboxTransport struct {
+	recv chan []byte
+	once sync.Once
+}
+
+func (t *inboxTransport) Broadcast([]byte) error { return nil }
+func (t *inboxTransport) Recv() <-chan []byte    { return t.recv }
+func (t *inboxTransport) Close() error {
+	t.once.Do(func() { close(t.recv) })
+	return nil
+}
+
+// BenchmarkNodeLoopInbound is the layer budget's microbenchmark for the
+// substrate → loop handoff: a live NewNode (n=4, codec v2) fed through
+// a channel-backed Transport. One op is one datagram — a v2 frame
+// carrying one ACK-only PDU from a peer — received by the node loop,
+// routed, decoded, passed through the entity and its buffer recycled,
+// so ns/op is the per-datagram cost of everything between the
+// substrate's channel and the protocol engine. The channel has the UDP
+// transport's default inbox depth, so the loop drains bursts as it does
+// under load. Steady state allocates nothing.
+func BenchmarkNodeLoopInbound(b *testing.B) {
+	const n = 4
+	frame, err := pdu.EncodeFrameV2([]*pdu.PDU{{
+		Kind: pdu.KindAckOnly, Src: 1, ACK: make([]pdu.Seq, n), LSrc: pdu.NoEntity,
+	}}, pdu.NewStampEncoder(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := &inboxTransport{recv: make(chan []byte, 1024)}
+	nd, err := cobcast.NewNode(0, n, tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer nd.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.recv <- append(pdu.GetDatagram(), frame...)
+	}
+	for len(tr.recv) > 0 {
+		runtime.Gosched()
+	}
+	b.StopTimer()
+	// At most the datagrams already taken off the channel are still in
+	// flight; wait for them and check every one reached the entity.
+	deadline := time.Now().Add(10 * time.Second)
+	for nd.Stats().AckOnlyRecv < uint64(b.N) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := nd.Stats().AckOnlyRecv; got != uint64(b.N) {
+		b.Fatalf("node received %d ACK-only PDUs, want %d", got, b.N)
 	}
 }

@@ -322,20 +322,11 @@ func (nd *Node) deliverGroup(g uint32, d core.Delivery) {
 	})
 }
 
-// routeInbound sends one received datagram down the right path: default-
-// group traffic (v1/v2 frames, or v3 addressed to group 0) stays on the
-// node's own loop-owned decode path, group-addressed traffic crosses to
-// the multi-group runtime's owner shard. Runs on the loop goroutine.
-func (nd *Node) routeInbound(b inbound) {
-	g, dropped := nd.lk.route(b)
-	if dropped {
-		return
-	}
-	if g == 0 {
-		nd.lk.deliver(b, nd.receive)
-		return
-	}
-	nd.groupRuntime().Inbound(g, groups.Inbound{Raw: b.raw, PDUs: b.pdus})
+// toGroup hands one group-addressed datagram to the multi-group
+// runtime's owner shard, starting the runtime on first use. Runs on the
+// loop goroutine.
+func (nd *Node) toGroup(g uint32, in groups.Inbound) {
+	nd.groupRuntime().Inbound(g, in)
 }
 
 // groupsIdle reports whether the multi-group runtime (if running) owes

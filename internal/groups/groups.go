@@ -324,8 +324,9 @@ func (r *Registry) Close() {
 }
 
 // shardInboxCap is each shard's input queue depth. Full inboxes apply
-// backpressure to submitters and to the inbound router (which in turn
-// slows the transport pump — the receive socket buffer absorbs bursts).
+// backpressure to submitters and to the inbound router, the node loop
+// (which in turn stops reading the transport — the receive socket
+// buffer absorbs bursts).
 const shardInboxCap = 256
 
 const (
@@ -370,11 +371,18 @@ type shard struct {
 }
 
 // send enqueues m, blocking while the inbox is full; it fails only once
-// the registry is closing.
+// the registry is closing. The common case — room in the inbox — takes
+// a single-case non-blocking send before falling back to the blocking
+// select.
 func (s *shard) send(m shardMsg) error {
 	select {
 	case <-s.stop:
 		return ErrClosed
+	default:
+	}
+	select {
+	case s.in <- m:
+		return nil
 	default:
 	}
 	select {
@@ -407,7 +415,9 @@ func (s *shard) request(m shardMsg) bool {
 // loop is the shard's owner goroutine: block for one input, drain
 // whatever else is pending without blocking, then flush — so the PDUs
 // every engine produced for one burst ride out together, across groups,
-// in one staged-batch send.
+// in one staged-batch send. The drain polls each input once per pass
+// with a single-case non-blocking receive (lock-free when empty), as the
+// node loop does, until a pass finds nothing.
 func (s *shard) loop() {
 	defer close(s.done)
 	defer s.frames.Close()
@@ -423,18 +433,25 @@ func (s *shard) loop() {
 		case <-ticker.C:
 			s.tickAll()
 		}
-		drained := false
-		for !drained {
+		for more := true; more; {
+			more = false
 			select {
 			case <-s.stop:
 				s.drainOnStop()
 				return
+			default:
+			}
+			select {
 			case m := <-s.in:
 				s.handle(m)
+				more = true
+			default:
+			}
+			select {
 			case <-ticker.C:
 				s.tickAll()
+				more = true
 			default:
-				drained = true
 			}
 		}
 		s.frames.Flush()

@@ -2,6 +2,9 @@ package cobcast_test
 
 import (
 	"runtime"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,4 +169,148 @@ func TestUDPNodeCloseReleasesGoroutines(t *testing.T) {
 	if got := waitGoroutines(baseline+2, 5*time.Second); got > baseline+2 {
 		t.Errorf("goroutines leaked: baseline %d, now %d", baseline, got)
 	}
+}
+
+// goroutineEntries maps each live goroutine's ID to its entry function:
+// the bottom frame of its stack, above the "created by" line.
+func goroutineEntries() map[int]string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := map[int]string{}
+	for _, block := range strings.Split(string(buf), "\n\n") {
+		lines := strings.Split(block, "\n")
+		// Header: "goroutine N [state]:"; then func/file line pairs.
+		fields := strings.Fields(lines[0])
+		if len(fields) < 2 || fields[0] != "goroutine" {
+			continue
+		}
+		id, err := strconv.Atoi(fields[1])
+		if err != nil {
+			continue
+		}
+		entry := ""
+		for i := 1; i < len(lines); i += 2 {
+			if strings.HasPrefix(lines[i], "created by ") {
+				break
+			}
+			if j := strings.LastIndex(lines[i], "("); j > 0 {
+				entry = lines[i][:j]
+			}
+		}
+		out[id] = entry
+	}
+	return out
+}
+
+// spawnedSince returns the entry functions of goroutines alive now that
+// were not in before, sorted, with their IDs. A goroutine that has not
+// run yet shows only runtime.goexit, so it polls until every new one
+// has started (or a second passes).
+func spawnedSince(before map[int]string) ([]string, map[int]string) {
+	end := time.Now().Add(time.Second)
+	for {
+		var names []string
+		ids := map[int]string{}
+		started := true
+		for id, entry := range goroutineEntries() {
+			if _, ok := before[id]; !ok {
+				names = append(names, entry)
+				ids[id] = entry
+				started = started && entry != "runtime.goexit"
+			}
+		}
+		if started || time.Now().After(end) {
+			sort.Strings(names)
+			return names, ids
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitGone polls until none of ids is alive or the deadline passes,
+// returning the survivors.
+func waitGone(ids map[int]string, deadline time.Duration) []string {
+	end := time.Now().Add(deadline)
+	for {
+		var left []string
+		live := goroutineEntries()
+		for id, entry := range ids {
+			if _, ok := live[id]; ok {
+				left = append(left, entry)
+			}
+		}
+		if len(left) == 0 || time.Now().After(end) {
+			return left
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestNodeGoroutineBudget pins the runtime's goroutine structure: an
+// inbound datagram crosses one goroutine boundary, substrate → owner
+// loop, so a node runs exactly its protocol loop and delivery pump on top
+// of whatever its substrate runs — no per-link forwarding goroutine — and
+// Close releases every one of them.
+func TestNodeGoroutineBudget(t *testing.T) {
+	const loopFn, pumpFn = "cobcast.loop[...]", "cobcast.(*Node).pump"
+
+	t.Run("udp", func(t *testing.T) {
+		before := goroutineEntries()
+		tr, err := cobcast.NewUDPTransport("127.0.0.1:0", []string{"127.0.0.1:1"}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd, err := cobcast.NewNode(0, 2, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ids := spawnedSince(before)
+		if len(got) != 3 || got[0] != pumpFn || got[1] != loopFn ||
+			!strings.HasPrefix(got[2], "cobcast/internal/udpnet.(*Transport).readLoop") {
+			t.Errorf("NewNode over UDP runs %q, want its loop, its delivery pump and the transport reader", got)
+		}
+		if err := nd.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if left := waitGone(ids, 5*time.Second); len(left) > 0 {
+			t.Errorf("goroutines alive after Close: %q", left)
+		}
+	})
+
+	t.Run("cluster", func(t *testing.T) {
+		const n = 4
+		before := goroutineEntries()
+		c, err := cobcast.NewCluster(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ids := spawnedSince(before)
+		count := map[string]int{}
+		for _, entry := range got {
+			switch {
+			case entry == loopFn, entry == pumpFn:
+				count[entry]++
+			case strings.HasPrefix(entry, "cobcast/internal/network."):
+				// The in-memory network's own per-pair pipes.
+			default:
+				t.Errorf("NewCluster(%d) runs unexpected goroutine %q", n, entry)
+			}
+		}
+		if count[loopFn] != n || count[pumpFn] != n {
+			t.Errorf("NewCluster(%d) runs %d loops and %d delivery pumps, want %d each", n, count[loopFn], count[pumpFn], n)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if left := waitGone(ids, 5*time.Second); len(left) > 0 {
+			t.Errorf("goroutines alive after Close: %q", left)
+		}
+	})
 }

@@ -2,25 +2,12 @@ package cobcast
 
 import (
 	"errors"
-	"sync"
 
+	"cobcast/internal/groups"
 	"cobcast/internal/network"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 )
-
-// inbound is one received datagram, in exactly one representation: pdus
-// for links whose substrate moves decoded PDUs (in-memory network), raw
-// for links whose substrate moves encoded batch frames (Transport). The
-// owning link interprets its own inbounds in deliver.
-type inbound struct {
-	pdus []*pdu.PDU
-	raw  []byte
-	// group is the addressed group for substrates that tag at the
-	// transport boundary (the in-memory network); wire links carry the
-	// group inside the v3 frame header instead and peek it in route.
-	group uint32
-}
 
 // link is the node's single attachment point to whatever moves PDUs —
 // the layer that collapses the old port/trans duality. The loop
@@ -33,9 +20,7 @@ type inbound struct {
 //
 // Ownership: append borrows the PDU pointer until the next flush; entity
 // output PDUs are immutable after creation (the sendlog retransmits them
-// bit-identically), so staging them is safe. deliver hands PDUs to fn
-// under the entity Receive contract: sequenced PDUs are owned by the
-// callee, unsequenced ones may be link scratch reused after fn returns.
+// bit-identically), so staging them is safe.
 type link interface {
 	// append stages p for the next flush. It may flush early to respect
 	// substrate limits (datagram size, batch cap).
@@ -44,24 +29,31 @@ type link interface {
 	// datagram per destination. Send failures are dropped datagrams —
 	// indistinguishable from network loss, repaired by the protocol.
 	flush()
-	// recv is the unified inbox: one entry per arriving datagram. It is
-	// closed when the link or its substrate closes.
-	recv() <-chan inbound
-	// deliver decodes one inbound datagram and hands each PDU to fn in
-	// batch order, then releases the datagram's resources.
-	deliver(in inbound, fn func(p *pdu.PDU))
-	// route classifies one inbound before decode: the group it is
-	// addressed to (0 = the default group, handled by the node loop's
-	// own deliver path) and whether the link already dropped it (an
-	// out-of-range group ID — counted as unknown-group loss, resources
-	// released). group > 0 hands ownership to the multi-group runtime.
-	route(in inbound) (group uint32, drop bool)
-	// close stops the link's pump goroutine and closes a transport the
-	// link owns. It is idempotent.
+	// close closes a transport the link owns.
 	close() error
 	// instrument attaches flush metrics. Must be called before the loop
 	// goroutine starts using the link (node construction); nil detaches.
 	instrument(m *obsv.LinkMetrics)
+}
+
+// inboxLink is a link together with its substrate's receive side, typed
+// by what the substrate moves: T is one arriving datagram (decoded PDUs
+// from the in-memory network, raw batch frames from a Transport). The
+// node loop receives straight from the substrate's own channel, so each
+// datagram crosses exactly one goroutine boundary on its way in.
+type inboxLink[T any] interface {
+	link
+	// inbox is the substrate's own receive channel, one entry per
+	// arriving datagram; it is closed when the substrate closes.
+	inbox() <-chan T
+	// receive routes one arriving datagram. Default-group traffic is
+	// decoded and handed to fn PDU by PDU in batch order, under the
+	// entity Receive contract: sequenced PDUs are owned by the callee,
+	// unsequenced ones may be link scratch reused after fn returns.
+	// Group-addressed traffic goes whole to toGroup, which takes
+	// ownership. A datagram addressed to an out-of-range group is
+	// dropped here, counted as unknown-group loss, resources released.
+	receive(in T, fn func(p *pdu.PDU), toGroup func(g uint32, in groups.Inbound))
 }
 
 // memBatchMax bounds how many PDUs a memLink stages before flushing
@@ -71,27 +63,15 @@ const memBatchMax = 128
 
 // memLink attaches a node to the in-memory network. PDUs move as
 // pointers: append stages them (the network clones at its boundary on
-// flush) and deliver's PDUs arrive already cloned and owned.
+// flush) and receive's PDUs arrive already cloned and owned.
 type memLink struct {
 	port  *network.Port
 	batch []*pdu.PDU
 	lm    *obsv.LinkMetrics // nil unless instrumented
-	in    chan inbound
-	stop  chan struct{}
-	done  chan struct{}
-	once  sync.Once
 }
 
 func newMemLink(port *network.Port) *memLink {
-	l := &memLink{
-		port:  port,
-		batch: make([]*pdu.PDU, 0, memBatchMax),
-		in:    make(chan inbound),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	go l.pump()
-	return l
+	return &memLink{port: port, batch: make([]*pdu.PDU, 0, memBatchMax)}
 }
 
 func (l *memLink) append(p *pdu.PDU) {
@@ -117,47 +97,22 @@ func (l *memLink) flushBatch(early bool) {
 
 func (l *memLink) instrument(m *obsv.LinkMetrics) { l.lm = m }
 
-func (l *memLink) recv() <-chan inbound { return l.in }
+func (l *memLink) inbox() <-chan network.Inbound { return l.port.Recv() }
 
-// pump forwards the port inbox onto the unified inbound channel until
-// the network or the link closes.
-func (l *memLink) pump() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.stop:
-			return
-		case in, ok := <-l.port.Recv():
-			if !ok {
-				close(l.in)
-				return
-			}
-			select {
-			case l.in <- inbound{pdus: in.PDUs, group: in.Group}:
-			case <-l.stop:
-				return
-			}
-		}
+// receive passes through the network boundary's group tag; the
+// in-memory network cannot produce out-of-range IDs, so nothing drops.
+func (l *memLink) receive(in network.Inbound, fn func(p *pdu.PDU), toGroup func(uint32, groups.Inbound)) {
+	if in.Group != 0 {
+		toGroup(in.Group, groups.Inbound{PDUs: in.PDUs})
+		return
 	}
-}
-
-func (l *memLink) deliver(in inbound, fn func(p *pdu.PDU)) {
-	for _, p := range in.pdus {
+	for _, p := range in.PDUs {
 		fn(p)
 	}
 }
 
-// route passes through the network boundary's group tag; the in-memory
-// network cannot produce out-of-range IDs, so nothing drops here.
-func (l *memLink) route(in inbound) (uint32, bool) { return in.group, false }
-
-func (l *memLink) close() error {
-	l.once.Do(func() {
-		close(l.stop)
-		<-l.done
-	})
-	return nil
-}
+// close is a no-op: the in-memory network belongs to the cluster.
+func (l *memLink) close() error { return nil }
 
 // wireBatchMax bounds how many sealed frames a wireLink stages before
 // sending them mid-drain; it keeps one very long input burst from
@@ -202,10 +157,6 @@ type wireLink struct {
 	sdec    pdu.StampDecoder
 	scratch pdu.PDU
 	lm      *obsv.LinkMetrics // nil unless instrumented
-	in      chan inbound
-	stop    chan struct{}
-	done    chan struct{}
-	once    sync.Once
 }
 
 // newWireLink attaches trans using entry codec version (pdu.WireVersion
@@ -216,9 +167,6 @@ func newWireLink(trans Transport, version uint8, stampK int) *wireLink {
 		trans:   trans,
 		version: version,
 		bufs:    [][]byte{make([]byte, 0, 4096)},
-		in:      make(chan inbound),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	if bt, ok := trans.(BatchTransport); ok {
 		l.bt = bt
@@ -228,7 +176,6 @@ func newWireLink(trans Transport, version uint8, stampK int) *wireLink {
 	}
 	l.dec.SetStampDecoder(&l.sdec)
 	l.begin()
-	go l.pump()
 	return l
 }
 
@@ -310,32 +257,30 @@ func (l *wireLink) sendStaged() {
 
 func (l *wireLink) instrument(m *obsv.LinkMetrics) { l.lm = m }
 
-func (l *wireLink) recv() <-chan inbound { return l.in }
+func (l *wireLink) inbox() <-chan []byte { return l.trans.Recv() }
 
-// pump forwards raw datagrams from the transport onto the unified
-// inbound channel until the transport or the link closes.
-func (l *wireLink) pump() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.stop:
-			return
-		case b, ok := <-l.trans.Recv():
-			if !ok {
-				close(l.in)
-				return
-			}
-			select {
-			case l.in <- inbound{raw: b}:
-			case <-l.stop:
-				pdu.PutDatagram(b)
-				return
-			}
-		}
+// receive peeks the frame header's group address without decoding the
+// body. v1/v2 frames and v3 frames addressed to group 0 stay on the
+// node loop's decode path; a v3 group ID past pdu.MaxGroupID (a
+// corrupted or hostile header) is dropped whole and counted as
+// unknown-group loss. Headers too mangled to classify fall through to
+// deliver, whose decoder rejects them as generic loss.
+func (l *wireLink) receive(b []byte, fn func(p *pdu.PDU), toGroup func(uint32, groups.Inbound)) {
+	g, ok := pdu.FrameGroup(b)
+	switch {
+	case ok && g > pdu.MaxGroupID:
+		l.lm.UnknownGroup()
+		pdu.PutDatagram(b)
+	case ok && g != 0:
+		toGroup(g, groups.Inbound{Raw: b})
+	default:
+		l.deliver(b, fn)
 	}
 }
 
-func (l *wireLink) deliver(in inbound, fn func(p *pdu.PDU)) {
+// deliver decodes one default-group datagram and hands each PDU to fn
+// in batch order, then recycles the datagram.
+func (l *wireLink) deliver(raw []byte, fn func(p *pdu.PDU)) {
 	// A decode error means a truncated or corrupt frame tail: PDUs
 	// decoded before it stand, the rest are lost datagram content the
 	// protocol recovers via RET. A delta entry whose reference stamp
@@ -344,9 +289,9 @@ func (l *wireLink) deliver(in inbound, fn func(p *pdu.PDU)) {
 	// remainder is dropped as loss too, repaired by retransmission or
 	// the sender's next full-stamp sync point; it is counted separately
 	// from genuinely invalid input.
-	err := l.dec.Reset(in.raw)
+	err := l.dec.Reset(raw)
 	if err == nil {
-		l.lm.RecvBytes(len(in.raw), l.dec.Version())
+		l.lm.RecvBytes(len(raw), l.dec.Version())
 	}
 	for err == nil {
 		var ok bool
@@ -367,34 +312,7 @@ func (l *wireLink) deliver(in inbound, fn func(p *pdu.PDU)) {
 	if errors.Is(err, pdu.ErrDeltaDesync) {
 		l.lm.StampDesync()
 	}
-	pdu.PutDatagram(in.raw)
+	pdu.PutDatagram(raw)
 }
 
-// route peeks the frame header's group address without decoding the
-// body. v1/v2 frames and v3 frames addressed to group 0 stay on the
-// node loop's path; a v3 group ID past pdu.MaxGroupID (a corrupted or
-// hostile header) is dropped whole here and counted as unknown-group
-// loss. Headers too mangled to classify fall through to deliver, whose
-// decoder rejects them as generic loss.
-func (l *wireLink) route(in inbound) (uint32, bool) {
-	g, ok := pdu.FrameGroup(in.raw)
-	if !ok {
-		return 0, false
-	}
-	if g > pdu.MaxGroupID {
-		l.lm.UnknownGroup()
-		pdu.PutDatagram(in.raw)
-		return 0, true
-	}
-	return g, false
-}
-
-func (l *wireLink) close() error {
-	var err error
-	l.once.Do(func() {
-		close(l.stop)
-		<-l.done
-		err = l.trans.Close()
-	})
-	return err
-}
+func (l *wireLink) close() error { return l.trans.Close() }

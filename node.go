@@ -95,15 +95,14 @@ type Node struct {
 	// scrapes it concurrently.
 	flight *flight.Ring
 
-	submits  chan []byte
-	evicts   chan evictReq
-	statsReq chan chan core.Stats
-	idleReq  chan chan bool
-	snapReq  chan snapRequest
-	deliver  chan Message
-	queue    deliveryQueue
-	start    time.Time
-	tick     time.Duration
+	submits chan []byte
+	// ctl carries the rare control requests (evict, stats, idle checks,
+	// snapshots) as closures the loop runs between inputs.
+	ctl     chan func()
+	deliver chan Message
+	queue   deliveryQueue
+	start   time.Time
+	tick    time.Duration
 
 	stop      chan struct{}
 	loopDone  chan struct{}
@@ -159,7 +158,7 @@ func NewNode(id, n int, trans Transport, opts ...Option) (*Node, error) {
 // multi-group wire factory, invoked once per shard if (and only if) the
 // node's group runtime starts; it receives the node's link metrics so
 // group traffic shares the node's flush counters.
-func newNode(id, n int, o options, lk link, newFrames func(shard int, lm *obsv.LinkMetrics) groups.Frames) (*Node, error) {
+func newNode[T any](id, n int, o options, lk inboxLink[T], newFrames func(shard int, lm *obsv.LinkMetrics) groups.Frames) (*Node, error) {
 	cfg := o.coreConfig(id, n)
 	cfg.Ledger = o.newLedger()
 	var em *obsv.EntityMetrics
@@ -186,10 +185,7 @@ func newNode(id, n int, o options, lk link, newFrames func(shard int, lm *obsv.L
 		shed:     o.backpressure == BackpressureShed,
 		lk:       lk,
 		submits:  make(chan []byte, 64),
-		evicts:   make(chan evictReq),
-		statsReq: make(chan chan core.Stats),
-		idleReq:  make(chan chan bool),
-		snapReq:  make(chan snapRequest),
+		ctl:      make(chan func()),
 		deliver:  make(chan Message),
 		start:    time.Now(),
 		tick:     o.tick(),
@@ -204,7 +200,7 @@ func newNode(id, n int, o options, lk link, newFrames func(shard int, lm *obsv.L
 			return newFrames(shard, lm)
 		},
 	}
-	go nd.loop()
+	go loop(nd, lk)
 	go nd.pump()
 	if o.registry != nil {
 		label := o.registry.RegisterNode(strconv.Itoa(id), em, lm, nd.StateSnapshot)
@@ -296,9 +292,36 @@ func (nd *Node) admit(ctx context.Context, l *core.Ledger) error {
 // messages are buffered without bound.
 func (nd *Node) Deliveries() <-chan Message { return nd.deliver }
 
-type evictReq struct {
-	id    int
-	reply chan error
+// onLoop runs f on the loop goroutine between inputs and waits for it
+// to return. It reports false, without running f, if the loop has
+// exited or timeout (nil for none) fires first.
+func (nd *Node) onLoop(f func(), timeout <-chan time.Time) bool {
+	done := make(chan struct{})
+	select {
+	case nd.ctl <- func() { f(); close(done) }:
+		<-done
+		return true
+	case <-nd.loopDone:
+		return false
+	case <-timeout:
+		return false
+	}
+}
+
+// inspect runs read against the entity between inputs on the loop
+// goroutine, or directly once the loop has exited (the entity is no
+// longer mutated). It reports false if timeout fired first.
+func (nd *Node) inspect(read func(), timeout <-chan time.Time) bool {
+	if nd.onLoop(read, timeout) {
+		return true
+	}
+	select {
+	case <-nd.loopDone:
+		read()
+		return true
+	default:
+		return false
+	}
 }
 
 // Evict removes a crashed or unreachable node from this node's
@@ -307,15 +330,15 @@ type evictReq struct {
 // extension's guarantees and limitations (no virtual synchrony, no
 // rejoin); WithSuspectTimeout automates the decision.
 func (nd *Node) Evict(id int) error {
-	req := evictReq{id: id, reply: make(chan error, 1)}
-	select {
-	case nd.evicts <- req:
-		return <-req.reply
-	case <-nd.stop:
-		return ErrClosed
-	case <-nd.loopDone:
+	var err error
+	if !nd.onLoop(func() {
+		var out core.Output
+		out, err = nd.ent.Evict(pdu.EntityID(id), nd.now())
+		nd.dispatch(out)
+	}, nil) {
 		return ErrClosed
 	}
+	return err
 }
 
 // WaitIdle blocks until this node owes the cluster nothing — every
@@ -325,16 +348,12 @@ func (nd *Node) Evict(id int) error {
 func (nd *Node) WaitIdle(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		reply := make(chan bool, 1)
-		select {
-		case nd.idleReq <- reply:
-			if <-reply && nd.groupsIdle() {
-				return nil
-			}
-		case <-nd.stop:
+		var idle bool
+		if !nd.onLoop(func() { idle = nd.ent.Quiescent() }, nil) {
 			return ErrClosed
-		case <-nd.loopDone:
-			return ErrClosed
+		}
+		if idle && nd.groupsIdle() {
+			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("cobcast: node %d not idle after %v", nd.id, timeout)
@@ -345,40 +364,15 @@ func (nd *Node) WaitIdle(timeout time.Duration) error {
 
 // Stats returns a snapshot of the node's protocol counters.
 func (nd *Node) Stats() Stats {
-	reply := make(chan core.Stats, 1)
-	select {
-	case nd.statsReq <- reply:
-		return fromCoreStats(<-reply)
-	case <-nd.loopDone:
-		// Loop exited: the entity is no longer mutated, read directly.
-		return fromCoreStats(nd.ent.Stats())
-	}
+	var s core.Stats
+	nd.inspect(func() { s = nd.ent.Stats() }, nil)
+	return fromCoreStats(s)
 }
 
 // snapshotTimeout bounds how long a scraper waits for the loop to
 // service a state-snapshot request; a loop busy past it simply drops
 // off that scrape rather than stalling the endpoint.
 const snapshotTimeout = 100 * time.Millisecond
-
-// snapRequest asks the protocol loop to fill dst with the entity's
-// state (and/or stalls with its stall-analyzer report) between inputs;
-// done (buffered) is signaled once the requested fields are valid.
-type snapRequest struct {
-	dst    *obsv.StateSnapshot
-	stalls *[]obsv.Stall
-	done   chan struct{}
-}
-
-// handleSnap services one snapshot/stall request on the loop goroutine.
-func (nd *Node) handleSnap(req snapRequest) {
-	if req.dst != nil {
-		nd.ent.SnapshotInto(req.dst)
-	}
-	if req.stalls != nil {
-		*req.stalls = nd.ent.Stalls(nd.now(), 0)
-	}
-	req.done <- struct{}{}
-}
 
 // Stalls returns the stall-analyzer verdicts for every undelivered
 // message this node is holding: the pipeline stage, the unmet flow-
@@ -388,18 +382,10 @@ func (nd *Node) handleSnap(req snapRequest) {
 // the report on every scrape.
 func (nd *Node) Stalls() ([]obsv.Stall, bool) {
 	var sts []obsv.Stall
-	req := snapRequest{stalls: &sts, done: make(chan struct{}, 1)}
 	timer := time.NewTimer(snapshotTimeout)
 	defer timer.Stop()
-	select {
-	case nd.snapReq <- req:
-		<-req.done
-		return sts, true
-	case <-nd.loopDone:
-		return nd.ent.Stalls(nd.now(), 0), true
-	case <-timer.C:
-		return nil, false
-	}
+	ok := nd.inspect(func() { sts = nd.ent.Stalls(nd.now(), 0) }, timer.C)
+	return sts, ok
 }
 
 // StateSnapshot returns a consistent copy of the node's live protocol
@@ -420,22 +406,12 @@ func (nd *Node) StateSnapshot() (obsv.StateSnapshot, bool) {
 // timeout) dst is untouched. dst must not be scraped into again while
 // a previous fill is still being read elsewhere.
 func (nd *Node) StateSnapshotInto(dst *obsv.StateSnapshot) bool {
-	req := snapRequest{dst: dst, done: make(chan struct{}, 1)}
 	timer := time.NewTimer(snapshotTimeout)
 	defer timer.Stop()
-	select {
-	case nd.snapReq <- req:
-		// Accepted: the loop owns dst until done fires, so wait without
-		// a timeout (abandoning dst here would race the loop's write).
-		<-req.done
-		return true
-	case <-nd.loopDone:
-		// Loop exited: the entity is no longer mutated, read directly.
-		nd.ent.SnapshotInto(dst)
-		return true
-	case <-timer.C:
-		return false
-	}
+	// Once the loop accepts the request it owns dst until the fill
+	// returns, so onLoop waits for it without a timeout (abandoning dst
+	// there would race the loop's write).
+	return nd.inspect(func() { nd.ent.SnapshotInto(dst) }, timer.C)
 }
 
 // Close stops the node's goroutines, closes its transport (when created
@@ -459,16 +435,19 @@ func (nd *Node) Close() error {
 // now is the node's protocol clock: time since the node started.
 func (nd *Node) now() time.Duration { return time.Since(nd.start) }
 
-// loop serializes every entity input on one goroutine. Outgoing PDUs are
-// staged on the link as they are produced; the loop flushes them as one
-// batched datagram only when its input queue goes idle, so a burst of
-// arrivals (or one input producing several PDUs) coalesces into a single
-// frame — flush-on-loop-idle batching.
-func (nd *Node) loop() {
+// loop serializes every entity input on one goroutine, receiving
+// inbound datagrams straight from the substrate's own channel. Outgoing
+// PDUs are staged on the link as they are produced; the loop flushes
+// them as one batched datagram only when its inputs go idle, so a burst
+// of arrivals (or one input producing several PDUs) coalesces into a
+// single frame — flush-on-loop-idle batching.
+func loop[T any](nd *Node, lk inboxLink[T]) {
 	defer close(nd.loopDone)
 	ticker := time.NewTicker(nd.tick)
 	defer ticker.Stop()
-	in := nd.lk.recv()
+	in := lk.inbox()
+	// Bound once: a method value passed per datagram would allocate.
+	recv, toGroup := nd.receive, nd.toGroup
 
 	for {
 		// Block for the next input…
@@ -477,58 +456,58 @@ func (nd *Node) loop() {
 			return
 		case data := <-nd.submits:
 			nd.dispatch(nd.ent.Submit(data, nd.now()))
-		case req := <-nd.evicts:
-			nd.handleEvict(req)
 		case b, ok := <-in:
 			if !ok {
 				return
 			}
-			nd.routeInbound(b)
+			lk.receive(b, recv, toGroup)
 		case <-ticker.C:
 			nd.dispatch(nd.ent.Tick(nd.now()))
-		case reply := <-nd.statsReq:
-			reply <- nd.ent.Stats()
-		case reply := <-nd.idleReq:
-			reply <- nd.ent.Quiescent()
-		case req := <-nd.snapReq:
-			nd.handleSnap(req)
+		case f := <-nd.ctl:
+			f()
 		}
-		// …then drain everything already pending without blocking, so
-		// the PDUs all of it produces share one flush.
-		drained := false
-		for !drained {
+		// …then drain everything already pending, so the PDUs all of it
+		// produces share one flush. Each pass polls every input once,
+		// round-robin, with a single-case non-blocking receive — a
+		// lock-free check on an empty channel, where re-arming the full
+		// select would lock every channel — until a pass finds nothing.
+		for more := true; more; {
+			more = false
 			select {
 			case <-nd.stop:
 				return
+			default:
+			}
+			select {
 			case data := <-nd.submits:
 				nd.dispatch(nd.ent.Submit(data, nd.now()))
-			case req := <-nd.evicts:
-				nd.handleEvict(req)
+				more = true
+			default:
+			}
+			select {
 			case b, ok := <-in:
 				if !ok {
 					return
 				}
-				nd.routeInbound(b)
+				lk.receive(b, recv, toGroup)
+				more = true
+			default:
+			}
+			select {
 			case <-ticker.C:
 				nd.dispatch(nd.ent.Tick(nd.now()))
-			case reply := <-nd.statsReq:
-				reply <- nd.ent.Stats()
-			case reply := <-nd.idleReq:
-				reply <- nd.ent.Quiescent()
-			case req := <-nd.snapReq:
-				nd.handleSnap(req)
+				more = true
 			default:
-				drained = true
+			}
+			select {
+			case f := <-nd.ctl:
+				f()
+				more = true
+			default:
 			}
 		}
-		nd.lk.flush()
+		lk.flush()
 	}
-}
-
-func (nd *Node) handleEvict(req evictReq) {
-	out, err := nd.ent.Evict(pdu.EntityID(req.id), nd.now())
-	req.reply <- err
-	nd.dispatch(out)
 }
 
 func (nd *Node) receive(p *pdu.PDU) {

@@ -330,7 +330,7 @@ func TestWireLinkDeliverDesyncCountedAndRecovered(t *testing.T) {
 	recv := func(frame []byte) (seqs []pdu.Seq) {
 		b := make([]byte, len(frame))
 		copy(b, frame)
-		l.deliver(inbound{raw: b}, func(p *pdu.PDU) { seqs = append(seqs, p.SEQ) })
+		l.deliver(b, func(p *pdu.PDU) { seqs = append(seqs, p.SEQ) })
 		return
 	}
 

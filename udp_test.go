@@ -168,16 +168,24 @@ func TestUDPWirePathEquivalence(t *testing.T) {
 				}
 				last[m.Src] = m.Seq
 			}
-			// Canonical per-node digest: deliveries sorted by (Src, Seq)
-			// so legal cross-source interleaving differences don't leak in.
-			sort.Slice(got, func(a, b int) bool {
-				if got[a].Src != got[b].Src {
-					return got[a].Src < got[b].Src
-				}
-				return got[a].Seq < got[b].Seq
-			})
+			// Canonical per-node digest: each source's payloads in that
+			// source's delivery order, keyed by (Src, position). Seq is
+			// left out because SYNC PDUs share its numbering, so where a
+			// timer-driven SYNC lands between data messages is legal
+			// timing noise, like cross-source interleaving.
+			perSrc := map[int][]string{}
 			for _, m := range got {
-				sum += fmt.Sprintf("%d/%d/%s;", m.Src, m.Seq, m.Data)
+				perSrc[m.Src] = append(perSrc[m.Src], string(m.Data))
+			}
+			srcs := make([]int, 0, len(perSrc))
+			for src := range perSrc {
+				srcs = append(srcs, src)
+			}
+			sort.Ints(srcs)
+			for _, src := range srcs {
+				for pos, data := range perSrc[src] {
+					sum += fmt.Sprintf("%d/%d/%s;", src, pos, data)
+				}
 			}
 			sum += "|"
 		}
