@@ -5,7 +5,9 @@ GO ?= go
 BENCHDIFF_PATTERN = HotPath|Fig8Tco|FrameCodec|MarshalAppend$$|MultiGroupThroughput
 
 # The wall-clock runtime tests whose outcome depends on goroutine
-# scheduling; make stress repeats them across GOMAXPROCS settings.
+# scheduling; make stress repeats them, and the whole multi-group
+# registry package (pipe-paired shard runtimes), across GOMAXPROCS
+# settings.
 STRESS_TESTS = ^(TestUDPWirePathEquivalence|TestClusterCloseReleasesGoroutines|TestNodeGoroutineBudget|TestClusterMultiGroupConverges|TestDefaultGroupPortDelegates|TestMaxGroupsBound|TestUDPMultiGroupConverges|TestUDPUnknownGroupCounted|TestGroupStatezSections)$$
 
 .PHONY: check vet build test race stress bench benchdiff
@@ -31,6 +33,7 @@ race:
 ## hinges on goroutine timing fails here instead of intermittently
 stress:
 	$(GO) test -race . -count=20 -cpu 1,2,4 -run '$(STRESS_TESTS)'
+	$(GO) test -race ./internal/groups -count=20 -cpu 1,2,4
 
 ## bench: every paper table/figure benchmark with allocation stats
 bench:

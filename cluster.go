@@ -48,12 +48,8 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	c := &Cluster{net: memnet, nodes: make([]*Node, n)}
 	for i := 0; i < n; i++ {
 		ep := memnet.Endpoint(pdu.EntityID(i))
-		nd, err := newNode(i, n, o, newMemLink(ep),
-			func(shard int, lm *obsv.LinkMetrics) groups.Frames {
-				// Shards share the node's port: BroadcastGroup is safe for
-				// concurrent use and tags PDUs at the network boundary.
-				return newMemGroupFrames(ep, lm)
-			})
+		nd, err := newNode(i, n, o, nil, ep.Recv(), memGroup,
+			func(lm *obsv.LinkMetrics) groups.Frames { return newMemFrames(ep, lm) })
 		if err != nil {
 			c.Close()
 			return nil, err

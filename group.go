@@ -8,7 +8,6 @@ import (
 
 	"cobcast/internal/core"
 	"cobcast/internal/groups"
-	"cobcast/internal/network"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 )
@@ -322,13 +321,6 @@ func (nd *Node) deliverGroup(g uint32, d core.Delivery) {
 	})
 }
 
-// toGroup hands one group-addressed datagram to the multi-group
-// runtime's owner shard, starting the runtime on first use. Runs on the
-// loop goroutine.
-func (nd *Node) toGroup(g uint32, in groups.Inbound) {
-	nd.groupRuntime().Inbound(g, in)
-}
-
 // groupsIdle reports whether the multi-group runtime (if running) owes
 // the cluster nothing.
 func (nd *Node) groupsIdle() bool {
@@ -363,232 +355,10 @@ func (nd *Node) closeGroups() {
 }
 
 // groupSeed carries what a node needs to start its multi-group runtime
-// lazily: the construction options and the substrate-specific frames
-// factory (wire or in-memory).
+// lazily: the construction options, the node's link metrics and the
+// substrate-specific frames factory (wire or in-memory).
 type groupSeed struct {
 	o         options
 	lm        *obsv.LinkMetrics
-	newFrames func(shard int) groups.Frames
+	newFrames func() groups.Frames
 }
-
-// wireGroupFrames is one shard's groups.Frames over a Transport: the
-// multi-group analogue of wireLink. Outbound PDUs marshal straight into
-// per-group in-progress v3 frames; Flush seals one frame per active
-// group and hands the whole set to the transport in one BroadcastBatch
-// (one sendmmsg on the batched wire path) — frames from many groups
-// share the staged-batch syscall win. Inbound v3 frames decode through
-// per-group decoder+stamp state, because each group is an independent
-// sequence space and v2 delta stamps reference per-source, per-group
-// streams.
-//
-// Only the owning shard goroutine touches a wireGroupFrames; the
-// transport underneath accepts concurrent sends from all shards (and
-// the node loop).
-type wireGroupFrames struct {
-	trans   Transport
-	bt      BatchTransport
-	version uint8
-	stampK  int
-	lm      *obsv.LinkMetrics
-
-	send   map[uint32]*groupSendState
-	order  []uint32 // groups with an open frame, in first-append order
-	staged [][]byte // scratch for Flush's one-frame-per-group sweep
-
-	recv    map[uint32]*groupRecvState
-	scratch pdu.PDU
-}
-
-type groupSendState struct {
-	enc    pdu.FrameEncoder
-	stamps *pdu.StampEncoder
-	buf    []byte // grow-once build buffer
-	open   bool
-}
-
-type groupRecvState struct {
-	dec  pdu.FrameDecoder
-	sdec pdu.StampDecoder
-}
-
-func newWireGroupFrames(trans Transport, version uint8, stampK int, lm *obsv.LinkMetrics) *wireGroupFrames {
-	f := &wireGroupFrames{
-		trans:   trans,
-		version: version,
-		stampK:  stampK,
-		lm:      lm,
-		send:    make(map[uint32]*groupSendState),
-		recv:    make(map[uint32]*groupRecvState),
-	}
-	if bt, ok := trans.(BatchTransport); ok {
-		f.bt = bt
-	}
-	return f
-}
-
-func (f *wireGroupFrames) sendState(g uint32) *groupSendState {
-	st, ok := f.send[g]
-	if !ok {
-		st = &groupSendState{buf: make([]byte, 0, 2048)}
-		if f.version == pdu.WireVersion2 {
-			st.stamps = pdu.NewStampEncoder(f.stampK)
-		}
-		f.send[g] = st
-	}
-	return st
-}
-
-func (f *wireGroupFrames) entryBound(p *pdu.PDU) int {
-	if f.version == pdu.WireVersion2 {
-		return p.EncodedSizeV2Bound()
-	}
-	return p.EncodedSize()
-}
-
-// Append stages p on group g's in-progress frame. A frame that would
-// overflow MaxDatagram is sealed and sent immediately (the early-flush
-// path); the common case keeps exactly one open frame per group until
-// the shard's flush.
-func (f *wireGroupFrames) Append(g uint32, p *pdu.PDU) {
-	st := f.sendState(g)
-	if !st.open {
-		st.enc.BeginGroup(st.buf[:0], g, f.version, st.stamps)
-		st.open = true
-		f.order = append(f.order, g)
-	}
-	if st.enc.Count() > 0 && st.enc.Size()+pdu.FrameEntrySize+f.entryBound(p) > MaxDatagram {
-		f.lm.Flush(st.enc.Count(), true)
-		b := st.enc.Bytes()
-		f.lm.FlushBytes(len(b), f.version)
-		_ = f.trans.Broadcast(b)
-		st.buf = b
-		st.enc.BeginGroup(st.buf[:0], g, f.version, st.stamps)
-	}
-	// An Append error means the PDU itself cannot be encoded (field
-	// overflow); dropping it is indistinguishable from transport loss.
-	_ = st.enc.Append(p)
-}
-
-// Flush seals every open frame and hands the set — one frame per group
-// that spoke since the last flush — to the transport in one batched
-// send.
-func (f *wireGroupFrames) Flush() {
-	if len(f.order) == 0 {
-		return
-	}
-	f.staged = f.staged[:0]
-	for _, g := range f.order {
-		st := f.send[g]
-		if !st.open {
-			continue
-		}
-		st.open = false
-		if st.enc.Count() == 0 {
-			continue
-		}
-		f.lm.Flush(st.enc.Count(), false)
-		b := st.enc.Bytes()
-		f.lm.FlushBytes(len(b), f.version)
-		st.buf = b // retain the grown buffer for the next frame
-		f.staged = append(f.staged, b)
-	}
-	f.order = f.order[:0]
-	switch {
-	case len(f.staged) == 0:
-	case len(f.staged) == 1:
-		_ = f.trans.Broadcast(f.staged[0])
-	case f.bt != nil:
-		_ = f.bt.BroadcastBatch(f.staged)
-	default:
-		for _, b := range f.staged {
-			_ = f.trans.Broadcast(b)
-		}
-	}
-	for i := range f.staged {
-		f.staged[i] = nil
-	}
-}
-
-// Deliver decodes one inbound v3 frame for group g with the group's own
-// decoder and stamp cache, under the same loss semantics as
-// wireLink.deliver.
-func (f *wireGroupFrames) Deliver(g uint32, in groups.Inbound, fn func(p *pdu.PDU)) {
-	rs, ok := f.recv[g]
-	if !ok {
-		rs = &groupRecvState{}
-		rs.dec.SetStampDecoder(&rs.sdec)
-		f.recv[g] = rs
-	}
-	err := rs.dec.Reset(in.Raw)
-	if err == nil {
-		f.lm.RecvBytes(len(in.Raw), rs.dec.Version())
-	}
-	for err == nil {
-		var more bool
-		more, err = rs.dec.Next(&f.scratch)
-		if !more {
-			break
-		}
-		// Clone shares Delta, which aliases this channel's stamp
-		// decoder scratch; the retained copy takes ownership.
-		if f.scratch.Kind.Sequenced() {
-			fn(f.scratch.Clone().OwnDelta())
-		} else {
-			fn(&f.scratch)
-		}
-	}
-	if errors.Is(err, pdu.ErrDeltaDesync) {
-		f.lm.StampDesync()
-	}
-	pdu.PutDatagram(in.Raw)
-}
-
-func (f *wireGroupFrames) Close() {}
-
-// memGroupFrames is one shard's groups.Frames over the in-memory
-// network: PDUs move as pointers, group-tagged at the network boundary
-// (which clones them), mirroring memLink.
-type memGroupFrames struct {
-	port   *network.Port
-	lm     *obsv.LinkMetrics
-	order  []uint32
-	staged map[uint32][]*pdu.PDU
-}
-
-func newMemGroupFrames(port *network.Port, lm *obsv.LinkMetrics) *memGroupFrames {
-	return &memGroupFrames{port: port, lm: lm, staged: make(map[uint32][]*pdu.PDU)}
-}
-
-func (f *memGroupFrames) Append(g uint32, p *pdu.PDU) {
-	batch := f.staged[g]
-	if batch == nil {
-		f.order = append(f.order, g)
-	}
-	batch = append(batch, p)
-	if len(batch) >= memBatchMax {
-		f.lm.Flush(len(batch), true)
-		_ = f.port.BroadcastGroup(g, batch...)
-		batch = batch[:0]
-	}
-	f.staged[g] = batch
-}
-
-func (f *memGroupFrames) Flush() {
-	for _, g := range f.order {
-		batch := f.staged[g]
-		if len(batch) > 0 {
-			f.lm.Flush(len(batch), false)
-			_ = f.port.BroadcastGroup(g, batch...)
-		}
-		delete(f.staged, g)
-	}
-	f.order = f.order[:0]
-}
-
-func (f *memGroupFrames) Deliver(g uint32, in groups.Inbound, fn func(p *pdu.PDU)) {
-	for _, p := range in.PDUs {
-		fn(p)
-	}
-}
-
-func (f *memGroupFrames) Close() {}

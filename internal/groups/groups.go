@@ -18,7 +18,8 @@
 // a confused peer can never crash the runtime.
 //
 // Each shard also owns a Frames adapter — the link-layer seam supplied
-// by the embedding runtime — and flushes it once per input burst
+// by the embedding runtime, which gives its own loop another instance
+// for the default group — and flushes it once per input burst
 // (flush-on-loop-idle, as the node loop does), so PDUs from many groups
 // coalesce into the same staged-batch/sendmmsg path.
 package groups
@@ -57,22 +58,23 @@ type Inbound struct {
 	PDUs []*pdu.PDU
 }
 
-// Frames is a shard's attachment to the wire: the multi-group analogue
-// of the node's link. One Frames exists per shard and is used only from
-// that shard's goroutine, so implementations need no locking of their
-// own (the transport underneath must accept concurrent sends, as the
-// UDP transport does).
+// Frames is an owner loop's attachment to the wire. One Frames exists
+// per owner loop — each shard, and the embedding node's own loop, which
+// carries the default group as group 0 — and is used only from that
+// loop's goroutine, so implementations need no locking of their own
+// (the transport underneath must accept concurrent sends, as the UDP
+// transport does).
 //
 // Append stages p on group g's in-progress frame for the next Flush;
-// Deliver decodes one inbound for group g and hands each PDU to fn in
-// order under the entity Receive contract (sequenced PDUs owned by the
-// callee, unsequenced ones may be scratch), then releases the inbound's
+// Flush sends every frame staged since the last one; Deliver decodes
+// one inbound for group g and hands each PDU to fn in order under the
+// entity Receive contract (sequenced PDUs owned by the callee,
+// unsequenced ones may be scratch), then releases the inbound's
 // resources.
 type Frames interface {
 	Append(g uint32, p *pdu.PDU)
 	Flush()
 	Deliver(g uint32, in Inbound, fn func(p *pdu.PDU))
-	Close()
 }
 
 // Config assembles a Registry. NewEntity, NewFrames and Deliver are the
@@ -88,9 +90,9 @@ type Config struct {
 	// NewEntity builds group g's protocol engine (including any metrics
 	// wiring). It runs on the owning shard goroutine.
 	NewEntity func(g uint32) (*core.Entity, error)
-	// NewFrames builds shard s's wire adapter; it is owned by that
+	// NewFrames builds one shard's wire adapter; it is owned by that
 	// shard's goroutine for the registry's lifetime.
-	NewFrames func(shard int) Frames
+	NewFrames func() Frames
 	// Deliver receives group g's causally ordered deliveries, on the
 	// owning shard goroutine; it must hand off quickly (the embedding
 	// runtime queues to its consumers).
@@ -147,10 +149,9 @@ func New(cfg Config) (*Registry, error) {
 	for i := range r.shards {
 		s := &shard{
 			reg:    r,
-			idx:    i,
 			in:     make(chan shardMsg, shardInboxCap),
 			groups: make(map[uint32]*core.Entity),
-			frames: cfg.NewFrames(i),
+			frames: cfg.NewFrames(),
 			stop:   make(chan struct{}),
 			done:   make(chan struct{}),
 		}
@@ -304,9 +305,8 @@ func (r *Registry) Quiescent() bool {
 	return true
 }
 
-// Close stops every shard goroutine and closes their Frames adapters.
-// Pending inputs may be dropped — indistinguishable from loss. It is
-// idempotent.
+// Close stops every shard goroutine. Pending inputs may be dropped —
+// indistinguishable from loss. It is idempotent.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -359,7 +359,6 @@ type shardMsg struct {
 // the single-writer invariant, per group, by construction.
 type shard struct {
 	reg *Registry
-	idx int
 	in  chan shardMsg
 	// groups maps group ID -> engine; a nil engine is a tombstone for a
 	// group whose construction failed (inputs drop as unknown-group loss
@@ -420,7 +419,6 @@ func (s *shard) request(m shardMsg) bool {
 // node loop does, until a pass finds nothing.
 func (s *shard) loop() {
 	defer close(s.done)
-	defer s.frames.Close()
 	ticker := time.NewTicker(s.reg.cfg.Tick)
 	defer ticker.Stop()
 	for {

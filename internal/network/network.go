@@ -222,13 +222,18 @@ func (n *Net) runPipe(from, to pdu.EntityID, pipe chan Inbound) {
 				case <-timer.C:
 				}
 			}
+			// Count before the hand-off, so a receiver that reads Stats
+			// after taking the datagram sees it counted. On overrun the
+			// count moves to DroppedOverrun.
+			k := uint64(len(in.PDUs))
+			n.m.Delivered.Add(k)
 			select {
 			case n.ports[to].inbox <- in:
-				n.m.Delivered.Add(uint64(len(in.PDUs)))
 			default:
 				// Receive-buffer overrun: the paper's loss model. The
 				// whole datagram is lost with its slot.
-				n.m.DroppedOverrun.Add(uint64(len(in.PDUs)))
+				n.m.Delivered.Add(-k)
+				n.m.DroppedOverrun.Add(k)
 			}
 		}
 	}

@@ -65,14 +65,15 @@ type LinkMetrics struct {
 	// Flushes counts flush operations that put at least one PDU on
 	// the wire; FlushedPDUs sums the PDUs across them. EarlyFlushes
 	// counts flushes forced mid-batch because the next PDU would
-	// have overflowed the datagram (wireLink) or batch cap (memLink).
+	// have overflowed the datagram (wire frames) or batch cap
+	// (in-memory frames).
 	Flushes, FlushedPDUs, EarlyFlushes Counter
 
 	// BytesOutV1/V2 count encoded frame bytes sent and BytesInV1/V2
 	// frame bytes received, attributed to the entry codec version of
-	// the frame (wire links only: memLinks move decoded PDUs). The
-	// per-version split is what experiment E12 reads to compare v1's
-	// fixed-width encoding against v2's delta stamps.
+	// the frame (wire frames only: the in-memory network moves decoded
+	// PDUs). The per-version split is what experiment E12 reads to
+	// compare v1's fixed-width encoding against v2's delta stamps.
 	BytesOutV1, BytesOutV2, BytesInV1, BytesInV2 Counter
 
 	// StampDesyncs counts inbound v2 delta entries dropped because

@@ -71,13 +71,16 @@ type Node struct {
 	ledger *core.Ledger
 	shed   bool
 
-	// lk is the node's sole attachment to the outside: a memLink for
-	// in-process clusters (PDUs move as pointers, no serialization) or a
-	// wireLink for external transports (PDUs move as batch frames). The
-	// loop goroutine stages outgoing PDUs on it and flushes once per
-	// input burst, so every PDU produced while draining the queue
-	// coalesces into one datagram.
-	lk link
+	// fr is the loop's attachment to the substrate, carrying the
+	// default group as group 0: a memFrames for in-process clusters
+	// (PDUs move as pointers, no serialization) or a wireFrames for
+	// external transports (PDUs move as batch frames). The loop stages
+	// outgoing PDUs on it and flushes once per input burst, so every
+	// PDU produced while draining the queue coalesces into one
+	// datagram. trans is the transport the node owns and closes (nil in
+	// a Cluster, whose network outlives its nodes).
+	fr    groups.Frames
+	trans Transport
 
 	// Multi-group state (see group.go): the sharded runtime starts
 	// lazily on the first non-default Group() call or the first
@@ -129,9 +132,9 @@ func NewNode(id, n int, trans Transport, opts ...Option) (*Node, error) {
 	default:
 		return nil, fmt.Errorf("cobcast: unsupported wire codec version %d", o.wireVersion)
 	}
-	nd, err := newNode(id, n, o, newWireLink(trans, version, o.stampInterval),
-		func(shard int, lm *obsv.LinkMetrics) groups.Frames {
-			return newWireGroupFrames(trans, version, o.stampInterval, lm)
+	nd, err := newNode(id, n, o, trans, trans.Recv(), wireGroup,
+		func(lm *obsv.LinkMetrics) groups.Frames {
+			return newWireFrames(trans, version, o.stampInterval, lm)
 		})
 	if err != nil {
 		return nil, err
@@ -154,11 +157,14 @@ func NewNode(id, n int, trans Transport, opts ...Option) (*Node, error) {
 	return nd, nil
 }
 
-// newNode assembles a node over its link. newFrames is the substrate's
-// multi-group wire factory, invoked once per shard if (and only if) the
-// node's group runtime starts; it receives the node's link metrics so
-// group traffic shares the node's flush counters.
-func newNode[T any](id, n int, o options, lk inboxLink[T], newFrames func(shard int, lm *obsv.LinkMetrics) groups.Frames) (*Node, error) {
+// newNode assembles a node over its substrate: inbox is the
+// substrate's own receive channel, one entry per arriving datagram,
+// closed when the substrate closes; addr names the group each datagram
+// is for. newFrames builds the substrate's groups.Frames, once for the
+// node loop and once per shard if (and only if) the node's group runtime
+// starts; every instance shares the node's link metrics. trans, if
+// non-nil, is closed with the node.
+func newNode[T any](id, n int, o options, trans Transport, inbox <-chan T, addr func(T) (uint32, groups.Inbound), newFrames func(lm *obsv.LinkMetrics) groups.Frames) (*Node, error) {
 	cfg := o.coreConfig(id, n)
 	cfg.Ledger = o.newLedger()
 	var em *obsv.EntityMetrics
@@ -167,15 +173,17 @@ func newNode[T any](id, n int, o options, lk inboxLink[T], newFrames func(shard 
 		em = obsv.NewEntityMetrics()
 		lm = obsv.NewLinkMetrics()
 		cfg.Metrics = em
-		lk.instrument(lm)
 	}
 	fr := o.newFlightRing()
 	cfg.Flight = fr
 	ent, err := core.New(cfg)
 	if err != nil {
-		_ = lk.close()
+		if trans != nil {
+			_ = trans.Close()
+		}
 		return nil, fmt.Errorf("cobcast: node %d: %w", id, err)
 	}
+	frames := func() groups.Frames { return newFrames(lm) }
 	nd := &Node{
 		id:       id,
 		n:        n,
@@ -183,7 +191,8 @@ func newNode[T any](id, n int, o options, lk inboxLink[T], newFrames func(shard 
 		flight:   fr,
 		ledger:   cfg.Ledger,
 		shed:     o.backpressure == BackpressureShed,
-		lk:       lk,
+		fr:       frames(),
+		trans:    trans,
 		submits:  make(chan []byte, 64),
 		ctl:      make(chan func()),
 		deliver:  make(chan Message),
@@ -192,15 +201,9 @@ func newNode[T any](id, n int, o options, lk inboxLink[T], newFrames func(shard 
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 		pumpDone: make(chan struct{}),
+		gseed:    groupSeed{o: o, lm: lm, newFrames: frames},
 	}
-	nd.gseed = groupSeed{
-		o:  o,
-		lm: lm,
-		newFrames: func(shard int) groups.Frames {
-			return newFrames(shard, lm)
-		},
-	}
-	go loop(nd, lk)
+	go loop(nd, inbox, addr)
 	go nd.pump()
 	if o.registry != nil {
 		label := o.registry.RegisterNode(strconv.Itoa(id), em, lm, nd.StateSnapshot)
@@ -427,7 +430,9 @@ func (nd *Node) Close() error {
 		nd.queue.close()
 		<-nd.pumpDone
 		close(nd.deliver)
-		err = nd.lk.close()
+		if nd.trans != nil {
+			err = nd.trans.Close()
+		}
 	})
 	return err
 }
@@ -437,17 +442,16 @@ func (nd *Node) now() time.Duration { return time.Since(nd.start) }
 
 // loop serializes every entity input on one goroutine, receiving
 // inbound datagrams straight from the substrate's own channel. Outgoing
-// PDUs are staged on the link as they are produced; the loop flushes
+// PDUs are staged on the frames as they are produced; the loop flushes
 // them as one batched datagram only when its inputs go idle, so a burst
 // of arrivals (or one input producing several PDUs) coalesces into a
 // single frame — flush-on-loop-idle batching.
-func loop[T any](nd *Node, lk inboxLink[T]) {
+func loop[T any](nd *Node, in <-chan T, addr func(T) (uint32, groups.Inbound)) {
 	defer close(nd.loopDone)
 	ticker := time.NewTicker(nd.tick)
 	defer ticker.Stop()
-	in := lk.inbox()
 	// Bound once: a method value passed per datagram would allocate.
-	recv, toGroup := nd.receive, nd.toGroup
+	recv := nd.receive
 
 	for {
 		// Block for the next input…
@@ -460,7 +464,8 @@ func loop[T any](nd *Node, lk inboxLink[T]) {
 			if !ok {
 				return
 			}
-			lk.receive(b, recv, toGroup)
+			g, gin := addr(b)
+			nd.route(g, gin, recv)
 		case <-ticker.C:
 			nd.dispatch(nd.ent.Tick(nd.now()))
 		case f := <-nd.ctl:
@@ -489,7 +494,8 @@ func loop[T any](nd *Node, lk inboxLink[T]) {
 				if !ok {
 					return
 				}
-				lk.receive(b, recv, toGroup)
+				g, gin := addr(b)
+				nd.route(g, gin, recv)
 				more = true
 			default:
 			}
@@ -506,7 +512,28 @@ func loop[T any](nd *Node, lk inboxLink[T]) {
 			default:
 			}
 		}
-		lk.flush()
+		nd.fr.Flush()
+	}
+}
+
+// route hands one arriving datagram, addressed to group g, to its
+// owner. The default group decodes here on the loop, each PDU going to
+// recv under the entity Receive contract: sequenced PDUs are owned by
+// the callee, unsequenced ones may be frames scratch reused after recv
+// returns. Other groups go whole to the multi-group runtime's owner
+// shard. A group ID past pdu.MaxGroupID (a corrupted or hostile header)
+// is dropped whole and counted as unknown-group loss.
+func (nd *Node) route(g uint32, in groups.Inbound, recv func(p *pdu.PDU)) {
+	switch {
+	case g > pdu.MaxGroupID:
+		nd.gseed.lm.UnknownGroup()
+		if in.Raw != nil {
+			pdu.PutDatagram(in.Raw)
+		}
+	case g != 0:
+		nd.groupRuntime().Inbound(g, in)
+	default:
+		nd.fr.Deliver(0, in, recv)
 	}
 }
 
@@ -535,8 +562,8 @@ func (nd *Node) recordWire(t flight.EventType, p *pdu.PDU, now time.Duration) {
 	nd.flight.Record(t, uint8(p.Kind), int32(src), uint64(seq), int32(peer), int64(now))
 }
 
-// dispatch stages an entity's output PDUs on the link (sent at the next
-// flush) and queues its deliveries.
+// dispatch stages an entity's output PDUs on the frames as group 0
+// (sent at the next flush) and queues its deliveries.
 func (nd *Node) dispatch(out core.Output) {
 	if nd.flight != nil && len(out.PDUs) > 0 {
 		now := nd.now()
@@ -545,7 +572,7 @@ func (nd *Node) dispatch(out core.Output) {
 		}
 	}
 	for _, p := range out.PDUs {
-		nd.lk.append(p)
+		nd.fr.Append(0, p)
 	}
 	for _, d := range out.Deliveries {
 		nd.queue.push(Message{Src: int(d.Src), Seq: uint64(d.SEQ), Data: d.Data, LTime: d.LTime})

@@ -1,9 +1,12 @@
 package cobcast
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
+	"cobcast/internal/groups"
 	"cobcast/internal/network"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
@@ -97,9 +100,14 @@ func TestDeliveryQueueConcurrentPushPopClose(t *testing.T) {
 	}
 }
 
-// --- link layer ---
+// --- frames ---
+//
+// The TestWireLink*/TestMemLink* tests cover the node's link to its
+// substrate: the wireFrames and memFrames framers, used with group 0
+// as the node loop uses them and with other groups as shards do.
 
 // chanTransport is an in-process Transport capturing broadcast frames.
+// BroadcastBatch is only reachable through batchTransport.
 type chanTransport struct {
 	frames chan []byte
 	recv   chan []byte
@@ -126,6 +134,22 @@ func (c *chanTransport) Recv() <-chan []byte { return c.recv }
 
 func (c *chanTransport) Close() error {
 	c.once.Do(func() { close(c.closed); close(c.recv) })
+	return nil
+}
+
+// batchTransport is a chanTransport that also implements
+// BatchTransport, recording how many datagrams each BroadcastBatch
+// call carried.
+type batchTransport struct {
+	*chanTransport
+	batches []int
+}
+
+func (c *batchTransport) BroadcastBatch(datagrams [][]byte) error {
+	c.batches = append(c.batches, len(datagrams))
+	for _, b := range datagrams {
+		_ = c.Broadcast(b)
+	}
 	return nil
 }
 
@@ -163,13 +187,12 @@ func decodeAll(t *testing.T, d *pdu.FrameDecoder, frame []byte) []*pdu.PDU {
 
 func TestWireLinkCoalescesAppendsIntoOneFrame(t *testing.T) {
 	tr := newChanTransport()
-	l := newWireLink(tr, pdu.WireVersion2, 0)
-	defer l.close()
+	f := newWireFrames(tr, pdu.WireVersion2, 0, nil)
 	for i := 1; i <= 5; i++ {
-		l.append(seqPDU(3, pdu.Seq(i)))
+		f.Append(0, seqPDU(3, pdu.Seq(i)))
 	}
-	l.flush()
-	l.flush() // empty flush must not emit a frame
+	f.Flush()
+	f.Flush() // empty flush must not emit a frame
 	got := decodeAll(t, streamDecoder(), <-tr.frames)
 	if len(got) != 5 {
 		t.Fatalf("frame carries %d PDUs, want 5", len(got))
@@ -180,82 +203,162 @@ func TestWireLinkCoalescesAppendsIntoOneFrame(t *testing.T) {
 		}
 	}
 	select {
-	case f := <-tr.frames:
-		t.Fatalf("empty flush emitted a %d-byte frame", len(f))
+	case b := <-tr.frames:
+		t.Fatalf("empty flush emitted a %d-byte frame", len(b))
 	default:
 	}
 }
 
+// TestWireLinkGroup0BytesIdentical pins wire compatibility with nodes
+// that predate group addressing: the default group's datagrams are
+// exactly the v1/v2 frames pdu.EncodeFrame/EncodeFrameV2 produce for
+// the same stream and stamp-encoder state, whatever other groups share
+// the framer. Those other groups' v3 frames are likewise exactly
+// pdu.EncodeFrameGroup's over their own stamp state.
+func TestWireLinkGroup0BytesIdentical(t *testing.T) {
+	const stampK = 4 // short, so the stream crosses full-stamp sync points
+	for _, version := range []uint8{pdu.WireVersion, pdu.WireVersion2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			tr := newChanTransport()
+			f := newWireFrames(tr, version, stampK, nil)
+			refs := map[uint32]*pdu.StampEncoder{0: pdu.NewStampEncoder(stampK), 7: pdu.NewStampEncoder(stampK)}
+			want := func(g uint32, batch []*pdu.PDU) []byte {
+				var b []byte
+				var err error
+				switch {
+				case g != 0:
+					b, err = pdu.EncodeFrameGroup(batch, g, version, refs[g])
+				case version == pdu.WireVersion2:
+					b, err = pdu.EncodeFrameV2(batch, refs[0])
+				default:
+					b, err = pdu.EncodeFrame(batch)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			seq := map[uint32]pdu.Seq{}
+			mk := func(g uint32) *pdu.PDU {
+				seq[g]++
+				p := seqPDU(8, seq[g])
+				p.Kind = pdu.KindData
+				p.ACK[0] = seq[g]
+				p.ACK[int(seq[g])%8] = seq[g] / 2
+				p.Data = []byte{byte(g), byte(seq[g])}
+				return p
+			}
+			for round, size := range []int{1, 3, 2, 5, 1, 4, 6, 2} {
+				var batches [2][]*pdu.PDU
+				for i := 0; i < size; i++ {
+					for j, g := range []uint32{0, 7} {
+						p := mk(g)
+						f.Append(g, p)
+						batches[j] = append(batches[j], p)
+					}
+				}
+				f.Flush()
+				// Frames go out in first-append order: group 0, then 7.
+				for j, g := range []uint32{0, 7} {
+					if got, w := <-tr.frames, want(g, batches[j]); !bytes.Equal(got, w) {
+						t.Fatalf("round %d group %d: datagram\n%x\nwant\n%x", round, g, got, w)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestWireLinkFlushesBeforeExceedingMaxDatagram(t *testing.T) {
-	tr := newChanTransport()
-	l := newWireLink(tr, pdu.WireVersion2, 0)
-	defer l.close()
-	// Each PDU is ~15 KiB, so a 60 KiB datagram fits three but not four.
-	big := func(seq pdu.Seq) *pdu.PDU {
-		p := seqPDU(3, seq)
-		p.Kind = pdu.KindData
-		p.Data = make([]byte, 15*1024)
-		return p
-	}
-	for i := 1; i <= 4; i++ {
-		l.append(big(pdu.Seq(i)))
-	}
-	l.flush()
-	rawFirst, rawSecond := <-tr.frames, <-tr.frames
-	for _, raw := range [][]byte{rawFirst, rawSecond} {
-		if len(raw) > MaxDatagram {
-			t.Errorf("frame of %d bytes exceeds MaxDatagram", len(raw))
-		}
-	}
-	d := streamDecoder()
-	first, second := decodeAll(t, d, rawFirst), decodeAll(t, d, rawSecond)
-	if len(first) != 3 || len(second) != 1 {
-		t.Fatalf("split %d+%d PDUs, want 3+1 (early flush at size bound)", len(first), len(second))
-	}
-	for i, p := range append(first, second...) {
-		if p.SEQ != pdu.Seq(i+1) {
-			t.Errorf("position %d: seq %d, want %d (order across frames)", i, p.SEQ, i+1)
-		}
+	for _, g := range []uint32{0, 7} {
+		t.Run(fmt.Sprintf("g=%d", g), func(t *testing.T) {
+			tr := &batchTransport{chanTransport: newChanTransport()}
+			f := newWireFrames(tr, pdu.WireVersion2, 0, nil)
+			// Each PDU is ~15 KiB, so a 60 KiB datagram fits three but
+			// not four.
+			big := func(seq pdu.Seq) *pdu.PDU {
+				p := seqPDU(3, seq)
+				p.Kind = pdu.KindData
+				p.Data = make([]byte, 15*1024)
+				return p
+			}
+			for i := 1; i <= 4; i++ {
+				f.Append(g, big(pdu.Seq(i)))
+			}
+			if len(tr.frames) != 0 {
+				t.Fatal("early-sealed frame sent before the flush")
+			}
+			f.Flush()
+			// The early-sealed frame is staged, not sent on its own:
+			// both frames leave in one BroadcastBatch, in seal order.
+			if len(tr.batches) != 1 || tr.batches[0] != 2 {
+				t.Fatalf("BroadcastBatch calls carried %v datagrams, want [2]", tr.batches)
+			}
+			rawFirst, rawSecond := <-tr.frames, <-tr.frames
+			for _, raw := range [][]byte{rawFirst, rawSecond} {
+				if len(raw) > MaxDatagram {
+					t.Errorf("frame of %d bytes exceeds MaxDatagram", len(raw))
+				}
+				if got, _ := pdu.FrameGroup(raw); got != g {
+					t.Errorf("frame addressed to group %d, want %d", got, g)
+				}
+			}
+			d := streamDecoder()
+			first, second := decodeAll(t, d, rawFirst), decodeAll(t, d, rawSecond)
+			if len(first) != 3 || len(second) != 1 {
+				t.Fatalf("split %d+%d PDUs, want 3+1 (early seal at size bound)", len(first), len(second))
+			}
+			for i, p := range append(first, second...) {
+				if p.SEQ != pdu.Seq(i+1) {
+					t.Errorf("position %d: seq %d, want %d (order across frames)", i, p.SEQ, i+1)
+				}
+			}
+		})
 	}
 }
 
 func TestMemLinkAutoFlushCapsBatch(t *testing.T) {
-	// memLink must not stage unboundedly during a long drain: it flushes
-	// on its own once the batch hits memBatchMax, and the early flush
-	// preserves append order across the resulting datagrams.
-	net := network.New(2)
-	defer net.Close()
-	l := newMemLink(net.Endpoint(0))
-	defer l.close()
-	for i := 1; i <= memBatchMax+1; i++ {
-		l.append(seqPDU(2, pdu.Seq(i)))
-	}
-	if len(l.batch) != 1 {
-		t.Fatalf("staged %d PDUs after auto-flush, want 1", len(l.batch))
-	}
-	l.flush()
-	var got []pdu.Seq
-	for len(got) < memBatchMax+1 {
-		in := <-net.Endpoint(1).Recv()
-		for _, p := range in.PDUs {
-			got = append(got, p.SEQ)
-		}
-	}
-	for i, s := range got {
-		if s != pdu.Seq(i+1) {
-			t.Fatalf("position %d: seq %d, want %d (order across datagrams)", i, s, i+1)
-		}
+	// memFrames must not stage unboundedly during a long drain: a
+	// group's batch flushes on its own once it hits memBatchMax, and the
+	// early flush preserves append order across the resulting datagrams.
+	for _, g := range []uint32{0, 7} {
+		t.Run(fmt.Sprintf("g=%d", g), func(t *testing.T) {
+			net := network.New(2)
+			defer net.Close()
+			f := newMemFrames(net.Endpoint(0), nil)
+			for i := 1; i <= memBatchMax+1; i++ {
+				f.Append(g, seqPDU(2, pdu.Seq(i)))
+			}
+			if n := len(f.staged[g]); n != 1 {
+				t.Fatalf("staged %d PDUs after auto-flush, want 1", n)
+			}
+			f.Flush()
+			var got []pdu.Seq
+			for len(got) < memBatchMax+1 {
+				in := <-net.Endpoint(1).Recv()
+				if in.Group != g {
+					t.Fatalf("datagram tagged group %d, want %d", in.Group, g)
+				}
+				for _, p := range in.PDUs {
+					got = append(got, p.SEQ)
+				}
+			}
+			for i, s := range got {
+				if s != pdu.Seq(i+1) {
+					t.Fatalf("position %d: seq %d, want %d (order across datagrams)", i, s, i+1)
+				}
+			}
+		})
 	}
 }
 
 func TestWireLinkV1EmitsVersion1Frames(t *testing.T) {
 	tr := newChanTransport()
-	l := newWireLink(tr, pdu.WireVersion, 0)
-	defer l.close()
+	f := newWireFrames(tr, pdu.WireVersion, 0, nil)
 	for i := 1; i <= 3; i++ {
-		l.append(seqPDU(3, pdu.Seq(i)))
+		f.Append(0, seqPDU(3, pdu.Seq(i)))
 	}
-	l.flush()
+	f.Flush()
 	raw := <-tr.frames
 	if raw[2] != pdu.FrameVersion {
 		t.Fatalf("frame version %d, want %d", raw[2], pdu.FrameVersion)
@@ -266,19 +369,17 @@ func TestWireLinkV1EmitsVersion1Frames(t *testing.T) {
 }
 
 func TestWireLinkV2FramesSmallerThanV1(t *testing.T) {
-	// The same contiguous stream, sent through a v1 and a v2 link; the
+	// The same contiguous stream, sent through a v1 and a v2 framer; the
 	// v2 per-version byte counter must come out well below v1's.
 	send := func(version uint8) uint64 {
 		tr := newChanTransport()
-		l := newWireLink(tr, version, 0)
-		defer l.close()
 		lm := obsv.NewLinkMetrics()
-		l.instrument(lm)
+		f := newWireFrames(tr, version, 0, lm)
 		for i := 1; i <= 20; i++ {
 			p := seqPDU(64, pdu.Seq(i))
 			p.ACK[0] = pdu.Seq(i)
-			l.append(p)
-			l.flush()
+			f.Append(0, p)
+			f.Flush()
 			raw := <-tr.frames
 			if raw[2] != version {
 				t.Fatalf("frame version %d, want %d", raw[2], version)
@@ -286,12 +387,12 @@ func TestWireLinkV2FramesSmallerThanV1(t *testing.T) {
 		}
 		if version == pdu.WireVersion2 {
 			if v1 := lm.BytesOutV1.Load(); v1 != 0 {
-				t.Fatalf("v2 link counted %d bytes as v1", v1)
+				t.Fatalf("v2 framer counted %d bytes as v1", v1)
 			}
 			return lm.BytesOutV2.Load()
 		}
 		if v2 := lm.BytesOutV2.Load(); v2 != 0 {
-			t.Fatalf("v1 link counted %d bytes as v2", v2)
+			t.Fatalf("v1 framer counted %d bytes as v2", v2)
 		}
 		return lm.BytesOutV1.Load()
 	}
@@ -308,10 +409,8 @@ func TestWireLinkDeliverDesyncCountedAndRecovered(t *testing.T) {
 	// A receiver that missed the frame carrying a delta's reference must
 	// drop the delta as counted loss, then recover from the full stamp
 	// once the missing frame is (re)delivered.
-	l := newWireLink(newChanTransport(), pdu.WireVersion2, 0)
-	defer l.close()
 	lm := obsv.NewLinkMetrics()
-	l.instrument(lm)
+	f := newWireFrames(newChanTransport(), pdu.WireVersion2, 0, lm)
 
 	mk := func(seq pdu.Seq) *pdu.PDU {
 		p := seqPDU(3, seq)
@@ -330,12 +429,12 @@ func TestWireLinkDeliverDesyncCountedAndRecovered(t *testing.T) {
 	recv := func(frame []byte) (seqs []pdu.Seq) {
 		b := make([]byte, len(frame))
 		copy(b, frame)
-		l.deliver(b, func(p *pdu.PDU) { seqs = append(seqs, p.SEQ) })
+		f.Deliver(0, groups.Inbound{Raw: b}, func(p *pdu.PDU) { seqs = append(seqs, p.SEQ) })
 		return
 	}
 
 	if got := recv(f2); len(got) != 0 { // f1 lost: delta has no reference
-		t.Fatalf("desynchronized link delivered %v", got)
+		t.Fatalf("desynchronized framer delivered %v", got)
 	}
 	if n := lm.StampDesyncs.Load(); n != 1 {
 		t.Fatalf("StampDesyncs = %d, want 1", n)
