@@ -8,7 +8,7 @@ BENCHDIFF_PATTERN = HotPath|Fig8Tco|FrameCodec|MarshalAppend$$|MultiGroupThrough
 # scheduling; make stress repeats them, and the whole multi-group
 # registry package (pipe-paired shard runtimes), across GOMAXPROCS
 # settings.
-STRESS_TESTS = ^(TestUDPWirePathEquivalence|TestClusterCloseReleasesGoroutines|TestNodeGoroutineBudget|TestClusterMultiGroupConverges|TestDefaultGroupPortDelegates|TestMaxGroupsBound|TestUDPMultiGroupConverges|TestUDPUnknownGroupCounted|TestGroupStatezSections)$$
+STRESS_TESTS = ^(TestUDPWirePathEquivalence|TestClusterCloseReleasesGoroutines|TestNodeGoroutineBudget|TestClusterMultiGroupConverges|TestDefaultGroupPortDelegates|TestMaxGroupsBound|TestUDPMultiGroupConverges|TestUDPUnknownGroupCounted|TestGroupStatezSections|TestEvictAppliesToEveryGroup)$$
 
 .PHONY: check vet build test race stress bench benchdiff
 

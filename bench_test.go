@@ -552,7 +552,7 @@ func BenchmarkMarshalAppend(b *testing.B) {
 	}
 }
 
-// benchHotPathCodec is the full datagram round trip as the node loop
+// benchHotPathCodec is the full datagram round trip as an owner loop
 // runs it: pooled buffer out of pdu.GetDatagram, MarshalAppend into it,
 // UnmarshalFrom into a scratch PDU, buffer back to the pool. When lm/tm
 // are non-nil it also pays the per-datagram bookkeeping the wireFrames and
@@ -1023,44 +1023,75 @@ func (t *inboxTransport) Close() error {
 }
 
 // BenchmarkNodeLoopInbound is the layer budget's microbenchmark for the
-// substrate → loop handoff: a live NewNode (n=4, codec v2) fed through
-// a channel-backed Transport. One op is one datagram — a v2 frame
-// carrying one ACK-only PDU from a peer — received by the node loop,
-// routed, decoded, passed through the entity and its buffer recycled,
-// so ns/op is the per-datagram cost of everything between the
-// substrate's channel and the protocol engine. The channel has the UDP
-// transport's default inbox depth, so the loop drains bursts as it does
-// under load. Steady state allocates nothing.
+// substrate → owner loop handoff: a live NewNode (n=4, codec v2, two
+// group shards) fed through a channel-backed Transport. One op is one
+// datagram — a frame carrying one ACK-only PDU from a peer — received
+// by the home shard, routed, decoded, passed through the group's engine
+// and its buffer recycled, so ns/op is the per-datagram cost of
+// everything between the substrate's channel and the protocol engine.
+// The cases cover the three routes a datagram can take: a v2 frame of
+// the default group and a v3 frame of group 2, both handled in place by
+// the home shard, and a v3 frame of group 1, which the home shard
+// forwards to shard 1. The channel has the UDP transport's default
+// inbox depth, so the loop drains bursts as it does under load. Steady
+// state allocates nothing.
 func BenchmarkNodeLoopInbound(b *testing.B) {
 	const n = 4
-	frame, err := pdu.EncodeFrameV2([]*pdu.PDU{{
-		Kind: pdu.KindAckOnly, Src: 1, ACK: make([]pdu.Seq, n), LSrc: pdu.NoEntity,
-	}}, pdu.NewStampEncoder(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := &inboxTransport{recv: make(chan []byte, 1024)}
-	nd, err := cobcast.NewNode(0, n, tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer nd.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.recv <- append(pdu.GetDatagram(), frame...)
-	}
-	for len(tr.recv) > 0 {
-		runtime.Gosched()
-	}
-	b.StopTimer()
-	// At most the datagrams already taken off the channel are still in
-	// flight; wait for them and check every one reached the entity.
-	deadline := time.Now().Add(10 * time.Second)
-	for nd.Stats().AckOnlyRecv < uint64(b.N) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := nd.Stats().AckOnlyRecv; got != uint64(b.N) {
-		b.Fatalf("node received %d ACK-only PDUs, want %d", got, b.N)
+	ack := &pdu.PDU{Kind: pdu.KindAckOnly, Src: 1, ACK: make([]pdu.Seq, n), LSrc: pdu.NoEntity}
+	for _, bc := range []struct {
+		name string
+		g    cobcast.GroupID
+	}{
+		{"default", cobcast.DefaultGroup},
+		{"home-group", 2},
+		{"forwarded-group", 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var frame []byte
+			var err error
+			if bc.g == cobcast.DefaultGroup {
+				frame, err = pdu.EncodeFrameV2([]*pdu.PDU{ack}, pdu.NewStampEncoder(0))
+			} else {
+				frame, err = pdu.EncodeFrameGroup([]*pdu.PDU{ack}, uint32(bc.g), pdu.WireVersion2, pdu.NewStampEncoder(0))
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr := &inboxTransport{recv: make(chan []byte, 1024)}
+			nd, err := cobcast.NewNode(0, n, tr, cobcast.WithGroupShards(2))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer nd.Close()
+			port := nd.Group(bc.g)
+			recvd := func() uint64 {
+				st, _ := port.Stats()
+				return st.AckOnlyRecv
+			}
+			// Build the group's engine before timing.
+			tr.recv <- append(pdu.GetDatagram(), frame...)
+			for deadline := time.Now().Add(10 * time.Second); recvd() < 1 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.recv <- append(pdu.GetDatagram(), frame...)
+			}
+			for len(tr.recv) > 0 {
+				runtime.Gosched()
+			}
+			b.StopTimer()
+			// At most the datagrams already taken off the channel are
+			// still in flight; wait for them and check every one reached
+			// the engine.
+			want := uint64(b.N) + 1
+			for deadline := time.Now().Add(10 * time.Second); recvd() < want && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if got := recvd(); got != want {
+				b.Fatalf("group %d received %d ACK-only PDUs, want %d", bc.g, got, want)
+			}
+		})
 	}
 }

@@ -18,7 +18,7 @@ import (
 
 // TestTracezLiveScrape hammers /tracez while a lossy cluster is under
 // load. Under -race this is the seqlock check for the flight rings: the
-// node loops (and producer goroutines) record concurrently with the
+// owner loops (and producer goroutines) record concurrently with the
 // scrapers' snapshots, and every scrape must decode to a consistent
 // document.
 func TestTracezLiveScrape(t *testing.T) {

@@ -9,15 +9,15 @@ import (
 	"cobcast/internal/pdu"
 )
 
-// A node reaches its substrate through one groups.Frames per owner loop:
-// the node loop's own instance carries the default group as group 0,
-// and each shard of the multi-group runtime has another from the same
-// factory. The loop stages outgoing PDUs with Append and coalesces them
-// into one datagram per group per Flush, which it calls whenever its
-// input queue goes idle, so every PDU produced by one input burst rides
-// together. Frames preserve per-sender datagram order, which with the
-// frame ordering contract preserves per-sender PDU order within and
-// across batches (the MC service contract).
+// A node reaches its substrate through one groups.Frames per shard of
+// its runtime, all from the same factory; the home shard's carries the
+// default group as group 0. Each owner loop stages outgoing PDUs with
+// Append and coalesces them into one datagram per group per Flush,
+// which it calls whenever its input queue goes idle, so every PDU
+// produced by one input burst rides together. Frames preserve
+// per-sender datagram order, which with the frame ordering contract
+// preserves per-sender PDU order within and across batches (the MC
+// service contract).
 //
 // Ownership: Append borrows the PDU pointer until the next Flush; entity
 // output PDUs are immutable after creation (the sendlog retransmits them

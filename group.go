@@ -52,23 +52,20 @@ func Group(name string) GroupID {
 // GroupPort is a node's handle on one group: Broadcast submits to the
 // group's ordered stream, Deliveries yields the group's causally (or
 // totally) ordered messages. Obtain ports with Node.Group or
-// Cluster.Group; the same port is returned for the same ID. The
-// DefaultGroup port is the node itself in disguise — its Broadcast and
-// Deliveries are exactly Node.Broadcast and Node.Deliveries.
+// Cluster.Group; the same port is returned for the same ID. Node's own
+// Broadcast and Deliveries are the DefaultGroup port's.
 type GroupPort struct {
 	nd *Node
 	id GroupID
 
 	// ledger is this group's memory ledger (nil without
 	// WithMemoryBudget): every group engine gets its own budget, and the
-	// port gates its producers on it exactly as Node.Broadcast gates on
-	// the default engine's.
+	// port gates its producers on it.
 	ledger *core.Ledger
 
-	// Non-default ports run their own unbounded queue + pump so a slow
-	// consumer of one group never stalls the shard that feeds it (or
-	// any other group). def ports delegate to the node's.
-	def      bool
+	// Each port runs its own unbounded queue + pump so a slow consumer
+	// of one group never stalls the shard that feeds it (or any other
+	// group).
 	queue    deliveryQueue
 	deliver  chan Message
 	pumpDone chan struct{}
@@ -89,9 +86,6 @@ func (p *GroupPort) Broadcast(data []byte) error {
 // BroadcastContext is Broadcast bounded by a context; see
 // Node.BroadcastContext for the backpressure semantics.
 func (p *GroupPort) BroadcastContext(ctx context.Context, data []byte) error {
-	if p.def {
-		return p.nd.BroadcastContext(ctx, data)
-	}
 	if err := p.nd.admit(ctx, p.ledger); err != nil {
 		return err
 	}
@@ -102,7 +96,7 @@ func (p *GroupPort) BroadcastContext(ctx context.Context, data []byte) error {
 		return ErrClosed
 	default:
 	}
-	err := p.nd.groupRuntime().Submit(uint32(p.id), buf)
+	err := p.nd.rt.Submit(ctx, uint32(p.id), buf)
 	switch {
 	case errors.Is(err, groups.ErrClosed):
 		return ErrClosed
@@ -115,27 +109,21 @@ func (p *GroupPort) BroadcastContext(ctx context.Context, data []byte) error {
 // Deliveries returns the group's ordered message stream. The channel is
 // closed by Node.Close. Consumers should drain promptly; undelivered
 // messages buffer without bound.
-func (p *GroupPort) Deliveries() <-chan Message {
-	if p.def {
-		return p.nd.deliver
-	}
-	return p.deliver
-}
+func (p *GroupPort) Deliveries() <-chan Message { return p.deliver }
 
 // Stats returns the group's protocol counters; ok is false if the group
-// has no engine on this node yet.
+// has no engine on this node yet. Once the node has closed it returns
+// the final counters.
 func (p *GroupPort) Stats() (Stats, bool) {
-	if p.def {
-		return p.nd.Stats(), true
-	}
-	s, ok := p.nd.groupRuntime().Stats(uint32(p.id))
-	if !ok {
+	var s core.Stats
+	if !p.nd.rt.Inspect(uint32(p.id), nil, func(e *core.Entity) { s = e.Stats() }) {
 		return Stats{}, false
 	}
 	return fromCoreStats(s), true
 }
 
-// pump mirrors Node.pump for one group's queue.
+// pump moves messages from the unbounded queue to the delivery channel
+// so a slow consumer never stalls the owner loop.
 func (p *GroupPort) pump() {
 	defer close(p.pumpDone)
 	for {
@@ -146,89 +134,59 @@ func (p *GroupPort) pump() {
 		select {
 		case p.deliver <- m:
 		case <-p.nd.stop:
+			// Drop the rest so close is prompt; consumers that closed
+			// early asked for this.
 			return
 		}
 	}
 }
 
 // Group returns the node's port on group g, creating it on first use.
-// For g != DefaultGroup this starts the node's multi-group runtime (a
-// set of shard goroutines, see WithGroupShards) if it is not running
-// yet.
+// Opening a group starts its owner shard (see WithGroupShards) if that
+// is not running yet.
 func (nd *Node) Group(g GroupID) *GroupPort {
 	nd.groupsMu.Lock()
 	defer nd.groupsMu.Unlock()
-	return nd.portLocked(g)
+	p, ok := nd.groupPorts[g]
+	if !ok {
+		p = nd.newPortLocked(g)
+		// Reserve the group so its engine can be built on first input;
+		// past the MaxGroups bound the reservation fails and the error
+		// surfaces on Broadcast instead.
+		_ = nd.rt.Open(uint32(g))
+	}
+	return p
 }
 
 // Group returns node i's port on group g; shorthand for
 // c.Node(i).Group(g).
 func (c *Cluster) Group(i int, g GroupID) *GroupPort { return c.nodes[i].Group(g) }
 
-func (nd *Node) portLocked(g GroupID) *GroupPort {
-	if p, ok := nd.groupPorts[g]; ok {
-		return p
-	}
+func (nd *Node) newPortLocked(g GroupID) *GroupPort {
 	if nd.groupPorts == nil {
 		nd.groupPorts = make(map[GroupID]*GroupPort)
 	}
-	p := &GroupPort{nd: nd, id: g, ledger: nd.groupLedgerLocked(g)}
-	if g == DefaultGroup {
-		p.def = true
-	} else {
-		p.deliver = make(chan Message)
-		p.pumpDone = make(chan struct{})
-		// Reserve the group so its engine can be built on first input;
-		// past the MaxGroups bound the reservation fails and the error
-		// surfaces on Broadcast instead.
-		_ = nd.groupRuntimeLocked().Open(uint32(g))
-		go p.pump()
+	p := &GroupPort{
+		nd:       nd,
+		id:       g,
+		ledger:   nd.groupLedgerLocked(g),
+		deliver:  make(chan Message),
+		pumpDone: make(chan struct{}),
 	}
+	go p.pump()
 	nd.groupPorts[g] = p
 	return p
 }
 
-// groupRuntime returns the node's multi-group runtime, starting it on
-// first use.
-func (nd *Node) groupRuntime() *groups.Registry {
-	nd.groupsMu.Lock()
-	defer nd.groupsMu.Unlock()
-	return nd.groupRuntimeLocked()
-}
-
-func (nd *Node) groupRuntimeLocked() *groups.Registry {
-	if nd.groupRT != nil {
-		return nd.groupRT
-	}
-	rt, err := groups.New(groups.Config{
-		Shards:         nd.gseed.o.groupShards,
-		MaxGroups:      nd.gseed.o.maxGroups,
-		NewEntity:      nd.newGroupEntity,
-		NewFrames:      nd.gseed.newFrames,
-		Deliver:        nd.deliverGroup,
-		DroppedUnknown: nd.gseed.lm.UnknownGroup,
-		Tick:           nd.tick,
-		Now:            nd.now,
-	})
-	if err != nil {
-		// The config is complete by construction; an error here is a
-		// programming error, not a runtime condition.
-		panic(fmt.Sprintf("cobcast: group runtime: %v", err))
-	}
-	nd.groupRT = rt
-	return rt
-}
-
 // statezGroupLimit bounds per-group metric/snapshot registrations per
-// node: the first statezGroupLimit groups get full per-group counter
-// families and /statez sections; later groups run engines without
-// per-group instrumentation, keeping scrape cardinality bounded however
-// many groups a workload mints.
+// node: besides the default group, the first statezGroupLimit groups
+// get full per-group counter families and /statez sections; later
+// groups run engines without per-group instrumentation, keeping scrape
+// cardinality bounded however many groups a workload mints.
 const statezGroupLimit = 16
 
 // groupLedger returns group g's memory ledger, creating it on first use
-// (nil without WithMemoryBudget). The default group shares the node's
-// ledger — its engine runs on the node loop, not a shard.
+// (nil without WithMemoryBudget).
 func (nd *Node) groupLedger(g GroupID) *core.Ledger {
 	nd.groupsMu.Lock()
 	defer nd.groupsMu.Unlock()
@@ -236,13 +194,10 @@ func (nd *Node) groupLedger(g GroupID) *core.Ledger {
 }
 
 func (nd *Node) groupLedgerLocked(g GroupID) *core.Ledger {
-	if g == DefaultGroup {
-		return nd.ledger
-	}
 	if l, ok := nd.groupLedgers[g]; ok {
 		return l
 	}
-	l := nd.gseed.o.newLedger()
+	l := nd.o.newLedger()
 	if l != nil {
 		if nd.groupLedgers == nil {
 			nd.groupLedgers = make(map[GroupID]*core.Ledger)
@@ -253,42 +208,41 @@ func (nd *Node) groupLedgerLocked(g GroupID) *core.Ledger {
 }
 
 // newGroupEntity builds group g's engine — groups.Registry calls it on
-// the owning shard goroutine at the group's first input. The engine gets
-// the same protocol configuration as the node's default engine: group
-// isolation comes from frame routing, not from the cluster ID. Each
-// group's engine writes its own ledger (shared with the group's port,
-// which gates producers on it).
+// the owning shard goroutine at the group's first input, and for the
+// default group while the node is built. Every engine gets the same
+// protocol configuration: group isolation comes from frame routing, not
+// from the cluster ID. Each group's engine writes its own ledger
+// (shared with the group's port, which gates producers on it) and
+// starts with the node's evictions applied.
 func (nd *Node) newGroupEntity(g uint32) (*core.Entity, error) {
-	cfg := nd.gseed.o.coreConfig(nd.id, nd.n)
+	cfg := nd.o.coreConfig(nd.id, nd.n)
 	cfg.Ledger = nd.groupLedger(GroupID(g))
-	reg := nd.gseed.o.registry
-	if reg != nil && nd.groupMetricsSlot() {
+	switch reg := nd.o.registry; {
+	case reg == nil:
+	case g == 0:
+		// Registered under the node's own label once the node is built.
+		cfg.Metrics, cfg.Flight = nd.em, nd.flight
+	case nd.groupMetricsSlot():
 		em := obsv.NewEntityMetrics()
 		cfg.Metrics = em
-		cfg.Flight = nd.gseed.o.newFlightRing()
+		cfg.Flight = nd.o.newFlightRing()
 		label := fmt.Sprintf("%d/g%d", nd.id, g)
-		got := reg.RegisterNode(label, em, nil, func() (obsv.StateSnapshot, bool) {
-			var s obsv.StateSnapshot
-			if !nd.groupRuntime().SnapshotInto(g, &s) {
-				return obsv.StateSnapshot{}, false
-			}
-			s.Group = g
-			return s, true
-		})
-		// Group engines share the node's monotonic clock (gseed wires
-		// nd.now into the runtime), so the node's start is their epoch.
-		reg.RegisterFlight(got, cfg.Flight, nd.start.UnixNano())
-		reg.RegisterStalls(got, func() ([]obsv.Stall, bool) {
-			var sts []obsv.Stall
-			if !nd.groupRuntime().Stalls(g, &sts) {
-				return nil, false
-			}
-			return sts, true
-		})
+		got := reg.RegisterNode(label, em, nil, func() (obsv.StateSnapshot, bool) { return nd.groupSnapshot(g) })
+		// Group engines share the node's monotonic clock, so the node's
+		// start is their epoch.
+		reg.RegisterFlight(got, g, cfg.Flight, nd.start.UnixNano())
+		reg.RegisterStalls(got, func() ([]obsv.Stall, bool) { return nd.groupStalls(g) })
 	}
 	ent, err := core.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("cobcast: node %d group %d: %w", nd.id, g, err)
+	}
+	nd.groupsMu.Lock()
+	evicted := nd.evicted
+	nd.groupsMu.Unlock()
+	for _, k := range evicted {
+		// A fresh engine holds nothing, so evicting produces no output.
+		_, _ = ent.Evict(k, nd.now())
 	}
 	return ent, nil
 }
@@ -310,7 +264,10 @@ func (nd *Node) groupMetricsSlot() bool {
 // groups the application has not opened yet are queued, not lost.
 func (nd *Node) deliverGroup(g uint32, d core.Delivery) {
 	nd.groupsMu.Lock()
-	p := nd.portLocked(GroupID(g))
+	p, ok := nd.groupPorts[GroupID(g)]
+	if !ok {
+		p = nd.newPortLocked(GroupID(g))
+	}
 	nd.groupsMu.Unlock()
 	p.queue.push(Message{
 		Group: GroupID(g),
@@ -319,46 +276,4 @@ func (nd *Node) deliverGroup(g uint32, d core.Delivery) {
 		Data:  d.Data,
 		LTime: d.LTime,
 	})
-}
-
-// groupsIdle reports whether the multi-group runtime (if running) owes
-// the cluster nothing.
-func (nd *Node) groupsIdle() bool {
-	nd.groupsMu.Lock()
-	rt := nd.groupRT
-	nd.groupsMu.Unlock()
-	return rt == nil || rt.Quiescent()
-}
-
-// closeGroups tears down the group runtime and ports after the protocol
-// loop has exited: shards stop (no more deliveries), then each port's
-// queue drains its pump and the delivery channels close.
-func (nd *Node) closeGroups() {
-	nd.groupsMu.Lock()
-	rt := nd.groupRT
-	ports := make([]*GroupPort, 0, len(nd.groupPorts))
-	for _, p := range nd.groupPorts {
-		ports = append(ports, p)
-	}
-	nd.groupsMu.Unlock()
-	if rt != nil {
-		rt.Close()
-	}
-	for _, p := range ports {
-		if p.def {
-			continue
-		}
-		p.queue.close()
-		<-p.pumpDone
-		close(p.deliver)
-	}
-}
-
-// groupSeed carries what a node needs to start its multi-group runtime
-// lazily: the construction options, the node's link metrics and the
-// substrate-specific frames factory (wire or in-memory).
-type groupSeed struct {
-	o         options
-	lm        *obsv.LinkMetrics
-	newFrames func() groups.Frames
 }

@@ -37,7 +37,7 @@ func (tr *nullBatchTransport) Close() error        { return nil }
 
 // TestGroupFramesSteadyStateAllocs requires the send hot path of both
 // framers — Append onto per-group staging, group 0 mixed with others as
-// when one framer serves the node loop and shards alike, Flush handing
+// when one framer serves every group of a shard, Flush handing
 // one frame per group to the substrate — to be allocation-free once the
 // per-group states and buffers exist. The public Broadcast necessarily
 // copies its payload, but from the owner loop down to the transport no

@@ -162,7 +162,7 @@ func runMultiGroup(cfg Config, reg *obsv.Registry) (*Result, error) {
 				if errors.Is(err, pdu.ErrDeltaDesync) {
 					// A delta whose reference this (channel, group) lost:
 					// the datagram remainder drops as loss, repaired by
-					// retransmission — same as the node link layer.
+					// retransmission — same as a node's frames.
 					return out
 				}
 				panic(fmt.Sprintf("chaos: decode %d->%d: %v", from, to, err))
@@ -338,6 +338,7 @@ func runMultiGroup(cfg Config, reg *obsv.Registry) (*Result, error) {
 				node := strconv.Itoa(i) + "/g" + strconv.Itoa(g)
 				res.Flight = append(res.Flight, obsv.NodeFlight{
 					Node:     node,
+					Group:    uint32(g),
 					Recorded: fr.Recorded(),
 					Capacity: fr.Cap(),
 					Events:   fr.Snapshot(nil),

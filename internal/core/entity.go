@@ -1059,6 +1059,24 @@ func (e *Entity) fl(t flight.EventType, src pdu.EntityID, seq pdu.Seq, kind pdu.
 	e.cfg.Flight.Record(t, uint8(kind), int32(src), uint64(seq), int32(peer), int64(now))
 }
 
+// RecordWire records each of ps crossing the boundary between the
+// engine and the network (t is flight.EvWireIn or EvWireOut) on the
+// engine's flight ring, if it has one. A RET identifies itself by the
+// PDU it chases (LSrc#LSeq), so that is what the span assembler needs
+// in the Src/Seq slots; Peer then carries the requester.
+func (e *Entity) RecordWire(t flight.EventType, now time.Duration, ps ...*pdu.PDU) {
+	if e.cfg.Flight == nil {
+		return
+	}
+	for _, p := range ps {
+		src, seq, peer := p.Src, p.SEQ, pdu.NoEntity
+		if p.Kind == pdu.KindRet {
+			src, seq, peer = p.LSrc, p.LSeq, p.Src
+		}
+		e.cfg.Flight.Record(t, uint8(p.Kind), int32(src), uint64(seq), int32(peer), int64(now))
+	}
+}
+
 func (e *Entity) trace(t trace.EventType, src pdu.EntityID, seq pdu.Seq, kind pdu.Kind, now time.Duration) {
 	if e.cfg.Tracer == nil {
 		return

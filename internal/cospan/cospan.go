@@ -46,10 +46,12 @@ type Trace struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// msgKey identifies one sequenced message cluster-wide.
+// msgKey identifies one sequenced message cluster-wide: (src, seq) is
+// unique within a group, each group being its own sequence space.
 type msgKey struct {
-	src int32
-	seq uint64
+	group uint32
+	src   int32
+	seq   uint64
 }
 
 func (k msgKey) String() string { return fmt.Sprintf("s%d#%d", k.src, k.seq) }
@@ -94,7 +96,7 @@ func Assemble(nodes []obsv.NodeFlight) []TraceEvent {
 				})
 				continue
 			}
-			k := msgKey{src: ev.Src, seq: ev.Seq}
+			k := msgKey{group: nf.Group, src: ev.Src, seq: ev.Seq}
 			m := msgs[k]
 			if m == nil {
 				m = &nodeMsg{first: ev.At, last: ev.At, has: make(map[flight.EventType]int64)}

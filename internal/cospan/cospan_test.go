@@ -67,6 +67,54 @@ func TestAssembleSlicesAndFlows(t *testing.T) {
 	}
 }
 
+// TestAssembleFlowsStayWithinGroup pins that (src, seq) is only unique
+// within a group: two nodes each dump a default-group ring and a group 5
+// ring holding the same s0#1 identity, and the flow arrows pair each
+// origin with its own group's acceptor only.
+func TestAssembleFlowsStayWithinGroup(t *testing.T) {
+	origin := func(at int64) []flight.Event {
+		return []flight.Event{
+			mkEvent(flight.EvSequence, pdu.KindData, 0, 1, -1, at),
+			mkEvent(flight.EvWireOut, pdu.KindData, 0, 1, -1, at+1000),
+		}
+	}
+	acceptor := func(at int64) []flight.Event {
+		return []flight.Event{
+			mkEvent(flight.EvWireIn, pdu.KindData, 0, 1, -1, at),
+			mkEvent(flight.EvAccept, pdu.KindData, 0, 1, -1, at+500),
+		}
+	}
+	nodes := []obsv.NodeFlight{
+		{Node: "0", Events: origin(1000)},
+		{Node: "0/g5", Group: 5, Events: origin(20000)},
+		{Node: "1", Events: acceptor(5000)},
+		{Node: "1/g5", Group: 5, Events: acceptor(30000)},
+	}
+	group := []uint32{0, 5, 0, 5}
+	starts := map[int]int{}
+	var ends []TraceEvent
+	for _, ev := range Assemble(nodes) {
+		switch ev.Ph {
+		case "s":
+			starts[ev.ID] = ev.Pid
+		case "f":
+			ends = append(ends, ev)
+		}
+	}
+	if len(ends) != 2 {
+		t.Fatalf("got %d flow arrows, want 2 (one per group)", len(ends))
+	}
+	for _, ev := range ends {
+		from, ok := starts[ev.ID]
+		if !ok {
+			t.Fatalf("flow %d has no start", ev.ID)
+		}
+		if group[from] != group[ev.Pid] {
+			t.Errorf("flow %d runs from %s to %s, across groups", ev.ID, nodes[from].Node, nodes[ev.Pid].Node)
+		}
+	}
+}
+
 func TestPairSubmitsBackfillsSeq(t *testing.T) {
 	events := []flight.Event{
 		mkEvent(flight.EvSubmit, pdu.KindData, 3, 0, -1, 100),

@@ -1,10 +1,10 @@
 // Package flight is a lock-free, bounded flight recorder for protocol
-// events on the real wire path. Each entity (node loop or group shard)
+// events on the real wire path. Each engine (one per group per node)
 // owns one Ring and records a fixed vocabulary of lifecycle events —
 // submit, sequence, wire-out/in, accept, commit, deliver, retransmit
 // request/serve, park/unpark, backpressure block/shed, suspicion — each
 // stamped with the pipeline's nanosecond clock and the message's
-// globally unique (src, seq) identity.
+// (src, seq) identity, unique within its group.
 //
 // Design constraints, in order:
 //
@@ -140,7 +140,8 @@ type Event struct {
 	Type EventType `json:"-"`
 	// TypeName is Type rendered for JSON consumers.
 	TypeName string `json:"type"`
-	// Src and Seq identify the message: (src, seq) is globally unique.
+	// Src and Seq identify the message: (src, seq) is unique within a
+	// group, each group being its own sequence space.
 	Src int32  `json:"src"`
 	Seq uint64 `json:"seq"`
 	// Kind is the PDU kind (pdu.Kind) where one applies, else 0.

@@ -1,38 +1,46 @@
-// Package groups is the multi-group sharded runtime: it multiplexes many
-// independent causally/totally ordered groups — each its own core.Entity
-// with its own sequence space, message log and ready queues — over one
-// shared transport.
+// Package groups is the node runtime: it multiplexes independent
+// causally/totally ordered groups — each its own core.Entity with its
+// own sequence space, message log and ready queues, the default group 0
+// among them — over one shared substrate.
 //
 // The paper's engine is single-writer by construction: every input to an
 // entity must be serialized on one goroutine. Instead of one goroutine
 // per group (unbounded) or one for all groups (no parallelism), the
 // registry hash-assigns each group to one of a fixed, GOMAXPROCS-sized
-// set of shards. Each shard is one goroutine owning every engine mapped
-// to it, which preserves the single-writer invariant per group while
-// letting independent groups progress in parallel across shards.
+// set of shards. Each shard is one owner loop holding every engine
+// mapped to it, which preserves the single-writer invariant per group
+// while letting independent groups progress in parallel across shards.
 //
-// Engines are lazy: the first send or receive naming a group
-// instantiates it, up to MaxGroups; past the bound (or after close)
-// inbound frames are dropped and counted as unknown-group loss — the
-// protocol treats that exactly like transport loss, so a late joiner or
-// a confused peer can never crash the runtime.
+// Every shard runs the same owner loop. Shard 0, the home shard, also
+// reads the substrate's receive channel: it owns group 0, whose engine
+// New builds up front, handles datagrams for groups it owns in place
+// and forwards the rest to their owner shards. The other shards start
+// on the first use of a group they own, so a single-group node runs
+// exactly one owner loop.
 //
-// Each shard also owns a Frames adapter — the link-layer seam supplied
-// by the embedding runtime, which gives its own loop another instance
-// for the default group — and flushes it once per input burst
-// (flush-on-loop-idle, as the node loop does), so PDUs from many groups
-// coalesce into the same staged-batch/sendmmsg path.
+// Engines other than group 0's are lazy: the first send or receive
+// naming a group instantiates it, up to MaxGroups; past the bound (or
+// after close) inbound frames are dropped and counted as unknown-group
+// loss — the protocol treats that exactly like transport loss, so a
+// late joiner or a confused peer can never crash the runtime.
+//
+// Each shard owns a Frames adapter, supplied by the embedding runtime
+// for its substrate, and flushes it once per input burst
+// (flush-on-loop-idle), so PDUs from many groups coalesce into the same
+// staged-batch/sendmmsg path.
 package groups
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cobcast/internal/core"
-	"cobcast/internal/obsv"
+	"cobcast/internal/flight"
 	"cobcast/internal/pdu"
 )
 
@@ -50,8 +58,8 @@ var ErrClosed = errors.New("groups: closed")
 var ErrTooManyGroups = errors.New("groups: too many groups")
 
 // Inbound is one received wire unit addressed to a group, in exactly one
-// representation: Raw for substrates that move encoded v3 frames, PDUs
-// for substrates that move decoded PDU pointers (the in-memory network).
+// representation: Raw for substrates that move encoded frames, PDUs for
+// substrates that move decoded PDU pointers (the in-memory network).
 // The shard's Frames adapter interprets its own inbounds.
 type Inbound struct {
 	Raw  []byte
@@ -59,11 +67,9 @@ type Inbound struct {
 }
 
 // Frames is an owner loop's attachment to the wire. One Frames exists
-// per owner loop — each shard, and the embedding node's own loop, which
-// carries the default group as group 0 — and is used only from that
-// loop's goroutine, so implementations need no locking of their own
-// (the transport underneath must accept concurrent sends, as the UDP
-// transport does).
+// per shard and is used only from that shard's goroutine, so
+// implementations need no locking of their own (the transport
+// underneath must accept concurrent sends, as the UDP transport does).
 //
 // Append stages p on group g's in-progress frame for the next Flush;
 // Flush sends every frame staged since the last one; Deliver decodes
@@ -77,18 +83,18 @@ type Frames interface {
 	Deliver(g uint32, in Inbound, fn func(p *pdu.PDU))
 }
 
-// Config assembles a Registry. NewEntity, NewFrames and Deliver are the
-// seams to the embedding runtime and must all be set.
+// Config assembles a Registry. NewEntity, NewFrames, Deliver and Now
+// are the seams to the embedding runtime and must all be set.
 type Config struct {
-	// Shards is the number of owner goroutines; <= 0 derives it from
-	// GOMAXPROCS (capped at 8: shards beyond the parallelism actually
-	// available only add channels).
+	// Shards is the number of owner loops; <= 0 derives it from
+	// GOMAXPROCS.
 	Shards int
 	// MaxGroups bounds lazily instantiated engines; <= 0 selects
-	// DefaultMaxGroups.
+	// DefaultMaxGroups. Group 0 rides outside the bound.
 	MaxGroups int
 	// NewEntity builds group g's protocol engine (including any metrics
-	// wiring). It runs on the owning shard goroutine.
+	// wiring). It runs on the owning shard goroutine, except for group
+	// 0, which New builds before any shard starts.
 	NewEntity func(g uint32) (*core.Entity, error)
 	// NewFrames builds one shard's wire adapter; it is owned by that
 	// shard's goroutine for the registry's lifetime.
@@ -98,8 +104,8 @@ type Config struct {
 	// runtime queues to its consumers).
 	Deliver func(g uint32, d core.Delivery)
 	// DroppedUnknown, if set, is called once per inbound dropped for an
-	// unknown-group reason (over the MaxGroups bound, failed engine
-	// construction, closed registry).
+	// unknown-group reason (a group ID past pdu.MaxGroupID, over the
+	// MaxGroups bound, failed engine construction, closed registry).
 	DroppedUnknown func()
 	// Tick is the per-shard protocol tick interval driving timeouts and
 	// deferred ACKs for every engine the shard owns.
@@ -108,9 +114,8 @@ type Config struct {
 	Now func() time.Duration
 }
 
-// Registry is the multi-group runtime: the lazy group table plus the
-// shard goroutines that own the engines. All methods are safe for
-// concurrent use.
+// Registry is a node's runtime: the group table plus the shard owner
+// loops that hold the engines. All methods are safe for concurrent use.
 type Registry struct {
 	cfg    Config
 	shards []*shard
@@ -120,19 +125,18 @@ type Registry struct {
 	closed bool
 }
 
-// New starts a registry with its shard goroutines. The configuration's
-// NewEntity, NewFrames, Deliver and Now must be non-nil.
-func New(cfg Config) (*Registry, error) {
+// New builds group 0's engine, which fails New if it cannot be built,
+// and starts the home shard reading inbox: each datagram it receives is
+// addressed by addr and routed to its group's owner. A closed inbox
+// ends the home shard; the other shards start on first use.
+func New[T any](cfg Config, inbox <-chan T, addr func(T) (uint32, Inbound)) (*Registry, error) {
 	if cfg.NewEntity == nil || cfg.NewFrames == nil || cfg.Deliver == nil || cfg.Now == nil {
 		return nil, errors.New("groups: incomplete config")
 	}
 	if cfg.Shards <= 0 {
-		// One shard goroutine per schedulable CPU. The heuristic is
-		// capped at GOMAXPROCS(0), not a fixed constant: shards run
-		// mailbox loops that park when idle, so extra shards on a big
-		// machine cost nothing while letting group traffic spread across
-		// every core the scheduler can actually use. An explicit
-		// cfg.Shards always wins.
+		// One shard per schedulable CPU. Shards park when idle and start
+		// only once a group they own is used, so a generous count costs
+		// nothing on a big machine. An explicit cfg.Shards always wins.
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MaxGroups <= 0 {
@@ -147,32 +151,40 @@ func New(cfg Config) (*Registry, error) {
 	}
 	r.shards = make([]*shard, cfg.Shards)
 	for i := range r.shards {
-		s := &shard{
+		r.shards[i] = &shard{
 			reg:    r,
-			in:     make(chan shardMsg, shardInboxCap),
 			groups: make(map[uint32]*core.Entity),
-			frames: cfg.NewFrames(),
 			stop:   make(chan struct{}),
 			done:   make(chan struct{}),
 		}
-		r.shards[i] = s
-		go s.loop()
 	}
+	eng, err := cfg.NewEntity(0)
+	if err != nil {
+		return nil, err
+	}
+	home := r.shards[0]
+	home.groups[0] = eng
+	home.start()
+	go run(home, inbox, addr)
 	return r, nil
 }
 
 // shardOf hash-assigns group g to its owner shard. Fibonacci hashing
-// spreads the sequential and the name-hashed ID populations alike.
+// spreads the sequential and the name-hashed ID populations alike, and
+// maps group 0 to the home shard.
 func (r *Registry) shardOf(g uint32) *shard {
 	h := g * 0x9E3779B1
 	return r.shards[h%uint32(len(r.shards))]
 }
 
-// Shards reports the number of shard goroutines.
-func (r *Registry) Shards() int { return len(r.shards) }
-
-// open reserves g in the group table, enforcing the MaxGroups bound.
-func (r *Registry) open(g uint32) error {
+// Open reserves g in the group table, enforcing the MaxGroups bound,
+// and starts g's owner shard if it is not running yet; the shard builds
+// g's engine on its first input. Opening a known group, or group 0,
+// which is always present, is a no-op.
+func (r *Registry) Open(g uint32) error {
+	if g == 0 {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -185,22 +197,22 @@ func (r *Registry) open(g uint32) error {
 		return fmt.Errorf("%w: %d", ErrTooManyGroups, r.cfg.MaxGroups)
 	}
 	r.known[g] = struct{}{}
+	if s := r.shardOf(g); !s.running.Load() {
+		s.start()
+		go run[Inbound](s, nil, nil)
+	}
 	return nil
 }
 
-// Open makes g known (reserving a MaxGroups slot) without yet building
-// its engine; the owning shard instantiates lazily on first input.
-// Opening an already-known group is a no-op.
-func (r *Registry) Open(g uint32) error { return r.open(g) }
-
 // Submit broadcasts data on group g, instantiating the group if needed.
 // data is retained by the engine (callers pass an owned copy). It blocks
-// only while the owning shard's inbox is full (backpressure).
-func (r *Registry) Submit(g uint32, data []byte) error {
-	if err := r.open(g); err != nil {
+// only while the owning shard's inbox is full (backpressure), or until
+// ctx is done.
+func (r *Registry) Submit(ctx context.Context, g uint32, data []byte) error {
+	if err := r.Open(g); err != nil {
 		return err
 	}
-	return r.shardOf(g).send(shardMsg{kind: msgSubmit, group: g, data: data})
+	return r.shardOf(g).send(ctx, shardMsg{kind: msgSubmit, group: g, data: data})
 }
 
 // Inbound routes one received wire unit to group g's owner shard,
@@ -209,11 +221,11 @@ func (r *Registry) Submit(g uint32, data []byte) error {
 // via DroppedUnknown: unknown-group loss, repaired (or not) like any
 // other transport loss, never a crash.
 func (r *Registry) Inbound(g uint32, in Inbound) {
-	if err := r.open(g); err != nil {
+	if err := r.Open(g); err != nil {
 		r.dropUnknown(in)
 		return
 	}
-	if err := r.shardOf(g).send(shardMsg{kind: msgInbound, group: g, in: in}); err != nil {
+	if err := r.shardOf(g).send(context.Background(), shardMsg{kind: msgInbound, group: g, in: in}); err != nil {
 		r.dropUnknown(in)
 	}
 }
@@ -227,85 +239,74 @@ func (r *Registry) dropUnknown(in Inbound) {
 	}
 }
 
-// Groups snapshots the known group IDs (reserved or instantiated), in
-// arbitrary order.
-func (r *Registry) Groups() []uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]uint32, 0, len(r.known))
-	for g := range r.known {
-		out = append(out, g)
-	}
-	return out
-}
-
-// GroupCount reports how many groups are known.
+// GroupCount reports how many groups besides group 0 are known.
 func (r *Registry) GroupCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.known)
 }
 
-// statsTimeout bounds how long introspection waits for a busy shard; a
-// scrape that misses simply reports absence rather than stalling.
-const statsTimeout = 100 * time.Millisecond
-
-// Stats returns group g's protocol counters, or ok=false if the group
-// has no engine (never instantiated) or its shard stayed busy past an
-// internal timeout.
-func (r *Registry) Stats(g uint32) (core.Stats, bool) {
-	reply := make(chan statsReply, 1)
-	if !r.shardOf(g).request(shardMsg{kind: msgStats, group: g, statsC: reply}) {
-		return core.Stats{}, false
-	}
-	rep := <-reply
-	return rep.stats, rep.ok
-}
-
-// SnapshotInto fills dst with group g's live protocol state, taken
-// between inputs on the owning shard. ok=false as for Stats; on false
-// dst is untouched.
-func (r *Registry) SnapshotInto(g uint32, dst *obsv.StateSnapshot) bool {
-	reply := make(chan bool, 1)
-	if !r.shardOf(g).request(shardMsg{kind: msgSnap, group: g, snap: dst, okC: reply}) {
-		return false
-	}
-	return <-reply
-}
-
-// Stalls fills dst with group g's stall-analyzer verdicts, taken
-// between inputs on the owning shard. ok=false as for Stats; on false
-// dst is untouched.
-func (r *Registry) Stalls(g uint32, dst *[]obsv.Stall) bool {
-	reply := make(chan bool, 1)
-	if !r.shardOf(g).request(shardMsg{kind: msgStalls, group: g, stalls: dst, okC: reply}) {
-		return false
-	}
-	return <-reply
-}
-
-// Quiescent reports whether every instantiated engine on every shard
-// owes the cluster nothing. It blocks until each shard answers between
-// inputs (or returns false if the registry is closing).
-func (r *Registry) Quiescent() bool {
-	for _, s := range r.shards {
-		reply := make(chan bool, 1)
-		if err := s.send(shardMsg{kind: msgQuiescent, okC: reply}); err != nil {
-			return false
+// Inspect runs read on group g's engine between inputs on its owner
+// shard or, once that shard has exited, directly: its engines are no
+// longer mutated. It reports false if g has no engine or timeout (nil
+// for none) fires before the shard takes the request.
+func (r *Registry) Inspect(g uint32, timeout <-chan time.Time, read func(e *core.Entity)) bool {
+	s := r.shardOf(g)
+	ok := false
+	f := func() {
+		if eng := s.groups[g]; eng != nil {
+			read(eng)
+			ok = true
 		}
+	}
+	if !s.do(f, timeout) {
 		select {
-		case q := <-reply:
-			if !q {
-				return false
-			}
 		case <-s.done:
+			f()
+		default:
+		}
+	}
+	return ok
+}
+
+// Update runs f on group g's engine between inputs on its owner shard
+// and sends the output f returns as the engine's own. It reports false
+// if g has no engine or its shard has stopped.
+func (r *Registry) Update(g uint32, f func(e *core.Entity, now time.Duration) core.Output) bool {
+	s := r.shardOf(g)
+	ok := false
+	return s.do(func() {
+		if eng := s.groups[g]; eng != nil {
+			now := r.cfg.Now()
+			s.dispatch(g, eng, f(eng, now), now)
+			ok = true
+		}
+	}, nil) && ok
+}
+
+// Each runs f on every engine, shard by shard, between inputs on the
+// owning shard, and sends the output f returns as that engine's own. It
+// reports false if a running shard has stopped.
+func (r *Registry) Each(f func(g uint32, e *core.Entity, now time.Duration) core.Output) bool {
+	for _, s := range r.shards {
+		if !s.running.Load() {
+			continue
+		}
+		if !s.do(func() {
+			now := r.cfg.Now()
+			for g, eng := range s.groups {
+				if eng != nil {
+					s.dispatch(g, eng, f(g, eng, now), now)
+				}
+			}
+		}, nil) {
 			return false
 		}
 	}
 	return true
 }
 
-// Close stops every shard goroutine. Pending inputs may be dropped —
+// Close stops every shard. Pending inputs may be dropped —
 // indistinguishable from loss. It is idempotent.
 func (r *Registry) Close() {
 	r.mu.Lock()
@@ -315,67 +316,85 @@ func (r *Registry) Close() {
 	}
 	r.closed = true
 	r.mu.Unlock()
+	// No shard starts once closed is set, so running is final here.
 	for _, s := range r.shards {
-		close(s.stop)
+		if s.running.Load() {
+			close(s.stop)
+		}
 	}
 	for _, s := range r.shards {
-		<-s.done
+		if s.running.Load() {
+			<-s.done
+		}
 	}
 }
 
 // shardInboxCap is each shard's input queue depth. Full inboxes apply
-// backpressure to submitters and to the inbound router, the node loop
-// (which in turn stops reading the transport — the receive socket
-// buffer absorbs bursts).
+// backpressure to submitters and to the home shard's forwarding (which
+// in turn stops reading the substrate — the receive socket buffer
+// absorbs bursts).
 const shardInboxCap = 256
 
 const (
 	msgSubmit = iota
 	msgInbound
-	msgStats
-	msgSnap
-	msgStalls
-	msgQuiescent
+	msgDo
 )
 
-type statsReply struct {
-	stats core.Stats
-	ok    bool
-}
-
 type shardMsg struct {
-	kind   int
-	group  uint32
-	data   []byte
-	in     Inbound
-	statsC chan statsReply
-	snap   *obsv.StateSnapshot
-	stalls *[]obsv.Stall
-	okC    chan bool
+	kind  int
+	group uint32
+	data  []byte
+	in    Inbound
+	do    func()
 }
 
-// shard is one owner goroutine and the engines hash-assigned to it.
-// Only the shard goroutine touches groups, its engines or its Frames —
-// the single-writer invariant, per group, by construction.
+// shard is one owner loop and the engines hash-assigned to it. Only the
+// shard goroutine touches groups, its engines or its Frames — the
+// single-writer invariant, per group, by construction.
 type shard struct {
 	reg *Registry
-	in  chan shardMsg
+	// in and frames are made when the shard starts; running is set
+	// once they are.
+	in      chan shardMsg
+	frames  Frames
+	running atomic.Bool
 	// groups maps group ID -> engine; a nil engine is a tombstone for a
 	// group whose construction failed (inputs drop as unknown-group loss
 	// instead of retrying construction per datagram).
 	groups map[uint32]*core.Entity
-	frames Frames
 	stop   chan struct{}
 	done   chan struct{}
+
+	// cur and curG are the engine and group whose inbound frames is
+	// decoding; recv is receive bound once (a method value passed per
+	// datagram would allocate).
+	cur  *core.Entity
+	curG uint32
+	recv func(p *pdu.PDU)
 }
 
-// send enqueues m, blocking while the inbox is full; it fails only once
-// the registry is closing. The common case — room in the inbox — takes
-// a single-case non-blocking send before falling back to the blocking
-// select.
-func (s *shard) send(m shardMsg) error {
+// start makes s's inbox and frames ahead of its owner loop. The
+// registry's mu must be held, or the registry not yet shared.
+func (s *shard) start() {
+	s.in = make(chan shardMsg, shardInboxCap)
+	s.frames = s.reg.cfg.NewFrames()
+	s.running.Store(true)
+}
+
+// send enqueues m, blocking while the inbox is full; it fails once the
+// shard has stopped, or with ctx's error once ctx is done. The common
+// case — room in the inbox — takes only single-case non-blocking
+// selects, which lock at most the inbox, before falling back to the
+// blocking select, which locks every channel it names.
+func (s *shard) send(ctx context.Context, m shardMsg) error {
 	select {
 	case <-s.stop:
+		return ErrClosed
+	default:
+	}
+	select {
+	case <-s.done:
 		return ErrClosed
 	default:
 	}
@@ -391,36 +410,53 @@ func (s *shard) send(m shardMsg) error {
 		return ErrClosed
 	case <-s.done:
 		return ErrClosed
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
-// request enqueues an introspection message, giving up after
-// statsTimeout instead of blocking a scraper behind a busy shard.
-func (s *shard) request(m shardMsg) bool {
-	timer := time.NewTimer(statsTimeout)
-	defer timer.Stop()
+// do runs f on s's goroutine between inputs and waits for it to return.
+// It reports false, without running f, if s is not running, stops
+// first, or timeout (nil for none) fires before s takes the request.
+func (s *shard) do(f func(), timeout <-chan time.Time) bool {
+	if !s.running.Load() {
+		return false
+	}
+	ran := make(chan struct{})
 	select {
-	case s.in <- m:
+	case s.in <- shardMsg{kind: msgDo, do: func() { f(); close(ran) }}:
+	case <-s.done:
+		return false
+	case <-timeout:
+		return false
+	}
+	select {
+	case <-ran:
 		return true
-	case <-s.stop:
-		return false
 	case <-s.done:
-		return false
-	case <-timer.C:
-		return false
+		// f runs before done closes if it runs at all.
+		select {
+		case <-ran:
+			return true
+		default:
+			return false
+		}
 	}
 }
 
-// loop is the shard's owner goroutine: block for one input, drain
+// run is the owner loop every shard runs: block for one input, drain
 // whatever else is pending without blocking, then flush — so the PDUs
 // every engine produced for one burst ride out together, across groups,
-// in one staged-batch send. The drain polls each input once per pass
-// with a single-case non-blocking receive (lock-free when empty), as the
-// node loop does, until a pass finds nothing.
-func (s *shard) loop() {
+// in one staged-batch send. Each drain pass polls every input once with
+// a single-case non-blocking receive (a lock-free check on an empty
+// channel, where re-arming the full select would lock every channel)
+// until a pass finds nothing. The home shard reads the substrate's
+// inbox; every other shard passes a nil inbox, which never fires.
+func run[T any](s *shard, inbox <-chan T, addr func(T) (uint32, Inbound)) {
 	defer close(s.done)
 	ticker := time.NewTicker(s.reg.cfg.Tick)
 	defer ticker.Stop()
+	s.recv = s.receive
 	for {
 		select {
 		case <-s.stop:
@@ -428,6 +464,12 @@ func (s *shard) loop() {
 			return
 		case m := <-s.in:
 			s.handle(m)
+		case b, ok := <-inbox:
+			if !ok {
+				s.drainOnStop()
+				return
+			}
+			s.route(addr(b))
 		case <-ticker.C:
 			s.tickAll()
 		}
@@ -446,6 +488,16 @@ func (s *shard) loop() {
 			default:
 			}
 			select {
+			case b, ok := <-inbox:
+				if !ok {
+					s.drainOnStop()
+					return
+				}
+				s.route(addr(b))
+				more = true
+			default:
+			}
+			select {
 			case <-ticker.C:
 				s.tickAll()
 				more = true
@@ -457,7 +509,8 @@ func (s *shard) loop() {
 }
 
 // drainOnStop releases resources queued behind the stop signal so pooled
-// datagram buffers are not leaked at close.
+// datagram buffers are not leaked at close. Queued requests are dropped
+// unrun; their callers see the shard done.
 func (s *shard) drainOnStop() {
 	for {
 		select {
@@ -465,78 +518,72 @@ func (s *shard) drainOnStop() {
 			if m.in.Raw != nil {
 				pdu.PutDatagram(m.in.Raw)
 			}
-			if m.statsC != nil {
-				m.statsC <- statsReply{}
-			}
-			if m.okC != nil {
-				m.okC <- false
-			}
 		default:
 			return
 		}
 	}
 }
 
-func (s *shard) handle(m shardMsg) {
-	switch m.kind {
-	case msgSubmit:
-		eng := s.engine(m.group)
-		if eng == nil {
-			return
-		}
-		s.dispatch(m.group, eng.Submit(m.data, s.reg.cfg.Now()))
-	case msgInbound:
-		eng := s.engine(m.group)
-		if eng == nil {
-			s.reg.dropUnknown(m.in)
-			return
-		}
-		s.frames.Deliver(m.group, m.in, func(p *pdu.PDU) {
-			// Receive errors mark malformed or foreign PDUs; the engine
-			// counts them in InvalidPDUs and the protocol carries on.
-			out, _ := eng.Receive(p, s.reg.cfg.Now())
-			s.dispatch(m.group, out)
-		})
-	case msgStats:
-		eng, ok := s.groups[m.group]
-		if !ok || eng == nil {
-			m.statsC <- statsReply{}
-			return
-		}
-		m.statsC <- statsReply{stats: eng.Stats(), ok: true}
-	case msgSnap:
-		eng, ok := s.groups[m.group]
-		if !ok || eng == nil {
-			m.okC <- false
-			return
-		}
-		eng.SnapshotInto(m.snap)
-		m.okC <- true
-	case msgStalls:
-		eng, ok := s.groups[m.group]
-		if !ok || eng == nil {
-			m.okC <- false
-			return
-		}
-		*m.stalls = eng.Stalls(s.reg.cfg.Now(), 0)
-		m.okC <- true
-	case msgQuiescent:
-		for _, eng := range s.groups {
-			if eng != nil && !eng.Quiescent() {
-				m.okC <- false
-				return
-			}
-		}
-		m.okC <- true
+// route hands one datagram off the substrate, addressed to group g, to
+// its owner: in place when this shard owns g, else forwarded to the
+// owner shard. A group ID past pdu.MaxGroupID (a corrupted or hostile
+// header) is dropped whole and counted as unknown-group loss.
+func (s *shard) route(g uint32, in Inbound) {
+	switch {
+	case g > pdu.MaxGroupID:
+		s.reg.dropUnknown(in)
+	case s.reg.shardOf(g) != s:
+		s.reg.Inbound(g, in)
+	default:
+		s.inbound(g, in)
 	}
 }
 
-// engine returns group g's engine, instantiating it on first input. A
-// failed construction is tombstoned so later inputs drop cheaply.
+func (s *shard) handle(m shardMsg) {
+	switch m.kind {
+	case msgSubmit:
+		if eng := s.engine(m.group); eng != nil {
+			now := s.reg.cfg.Now()
+			s.dispatch(m.group, eng, eng.Submit(m.data, now), now)
+		}
+	case msgInbound:
+		s.inbound(m.group, m.in)
+	case msgDo:
+		m.do()
+	}
+}
+
+// inbound decodes one datagram for group g, an engine this shard owns,
+// into the engine.
+func (s *shard) inbound(g uint32, in Inbound) {
+	eng := s.engine(g)
+	if eng == nil {
+		s.reg.dropUnknown(in)
+		return
+	}
+	s.cur, s.curG = eng, g
+	s.frames.Deliver(g, in, s.recv)
+	s.cur = nil
+}
+
+func (s *shard) receive(p *pdu.PDU) {
+	now := s.reg.cfg.Now()
+	s.cur.RecordWire(flight.EvWireIn, now, p)
+	// Receive errors mark malformed or foreign PDUs; the engine counts
+	// them in InvalidPDUs and the protocol carries on.
+	out, _ := s.cur.Receive(p, now)
+	s.dispatch(s.curG, s.cur, out, now)
+}
+
+// engine returns group g's engine, instantiating it on first input once
+// g holds a MaxGroups slot (nil past the bound). A failed construction
+// is tombstoned so later inputs drop cheaply.
 func (s *shard) engine(g uint32) *core.Entity {
-	eng, ok := s.groups[g]
-	if ok {
+	if eng, ok := s.groups[g]; ok {
 		return eng
+	}
+	if s.reg.Open(g) != nil {
+		return nil
 	}
 	eng, err := s.reg.cfg.NewEntity(g)
 	if err != nil {
@@ -550,14 +597,16 @@ func (s *shard) tickAll() {
 	now := s.reg.cfg.Now()
 	for g, eng := range s.groups {
 		if eng != nil {
-			s.dispatch(g, eng.Tick(now))
+			s.dispatch(g, eng, eng.Tick(now), now)
 		}
 	}
 }
 
 // dispatch stages an engine's output PDUs on the shard's frames (sent at
-// the next flush) and hands its deliveries to the embedding runtime.
-func (s *shard) dispatch(g uint32, out core.Output) {
+// the next flush), recording each on the engine's flight ring, and
+// hands its deliveries to the embedding runtime.
+func (s *shard) dispatch(g uint32, eng *core.Entity, out core.Output, now time.Duration) {
+	eng.RecordWire(flight.EvWireOut, now, out.PDUs...)
 	for _, p := range out.PDUs {
 		s.frames.Append(g, p)
 	}

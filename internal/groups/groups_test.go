@@ -1,6 +1,7 @@
 package groups
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -99,7 +100,7 @@ func newPair(t *testing.T, shards, maxGroups int) (a, b *Registry, ca, cb *colle
 	start := time.Now()
 	now := func() time.Duration { return time.Since(start) }
 	mk := func(id, side int, col *collector) *Registry {
-		r, err := New(Config{
+		r, err := New[Inbound](Config{
 			Shards:    shards,
 			MaxGroups: maxGroups,
 			NewEntity: func(g uint32) (*core.Entity, error) {
@@ -118,7 +119,7 @@ func newPair(t *testing.T, shards, maxGroups int) (a, b *Registry, ca, cb *colle
 			Deliver: col.add,
 			Tick:    time.Millisecond,
 			Now:     now,
-		})
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,6 +138,15 @@ func newPair(t *testing.T, shards, maxGroups int) (a, b *Registry, ca, cb *colle
 		a.Close()
 		b.Close()
 	}
+}
+
+// quiescent reports whether every engine of r owes the cluster nothing.
+func quiescent(r *Registry) bool {
+	idle := true
+	return r.Each(func(_ uint32, e *core.Entity, _ time.Duration) core.Output {
+		idle = idle && e.Quiescent()
+		return core.Output{}
+	}) && idle
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -164,7 +174,7 @@ func TestMultiGroupConverges(t *testing.T) {
 	const perGroup = 20
 	for i := 0; i < perGroup; i++ {
 		for _, g := range groupIDs {
-			if err := a.Submit(g, []byte(fmt.Sprintf("g%d-m%d", g, i))); err != nil {
+			if err := a.Submit(context.Background(), g, []byte(fmt.Sprintf("g%d-m%d", g, i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -175,7 +185,7 @@ func TestMultiGroupConverges(t *testing.T) {
 				return false
 			}
 		}
-		return a.Quiescent() && b.Quiescent()
+		return quiescent(a) && quiescent(b)
 	})
 	for _, g := range groupIDs {
 		for _, col := range []*collector{ca, cb} {
@@ -195,7 +205,8 @@ func TestMultiGroupConverges(t *testing.T) {
 		t.Fatalf("GroupCount = %d, want %d", a.GroupCount(), len(groupIDs))
 	}
 	for _, g := range groupIDs {
-		st, ok := a.Stats(g)
+		var st core.Stats
+		ok := a.Inspect(g, nil, func(e *core.Entity) { st = e.Stats() })
 		if !ok || st.Delivered == 0 {
 			t.Fatalf("Stats(%d) = %+v,%v", g, st, ok)
 		}
@@ -207,7 +218,7 @@ func TestMultiGroupConverges(t *testing.T) {
 // dropped and counted — never a crash.
 func TestLazyInstantiationAndBound(t *testing.T) {
 	var drops atomic.Int64
-	r, err := New(Config{
+	r, err := New[Inbound](Config{
 		Shards:    2,
 		MaxGroups: 2,
 		NewEntity: func(g uint32) (*core.Entity, error) {
@@ -220,7 +231,7 @@ func TestLazyInstantiationAndBound(t *testing.T) {
 		Deliver:        func(uint32, core.Delivery) {},
 		DroppedUnknown: func() { drops.Add(1) },
 		Now:            func() time.Duration { return 0 },
-	})
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,16 +240,16 @@ func TestLazyInstantiationAndBound(t *testing.T) {
 	if n := r.GroupCount(); n != 0 {
 		t.Fatalf("GroupCount before any input = %d", n)
 	}
-	if _, ok := r.Stats(5); ok {
-		t.Fatal("Stats ok for never-touched group")
+	if r.Inspect(5, nil, func(*core.Entity) {}) {
+		t.Fatal("Inspect ok for never-touched group")
 	}
-	if err := r.Submit(5, []byte("x")); err != nil {
+	if err := r.Submit(context.Background(), 5, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Submit(6, []byte("y")); err != nil {
+	if err := r.Submit(context.Background(), 6, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Submit(7, []byte("z")); !errors.Is(err, ErrTooManyGroups) {
+	if err := r.Submit(context.Background(), 7, []byte("z")); !errors.Is(err, ErrTooManyGroups) {
 		t.Fatalf("Submit over bound = %v, want ErrTooManyGroups", err)
 	}
 	r.Inbound(8, Inbound{PDUs: []*pdu.PDU{{Kind: pdu.KindAckOnly, Src: 1, ACK: []pdu.Seq{0, 0}, LSrc: pdu.NoEntity}}})
@@ -253,9 +264,16 @@ func TestLazyInstantiationAndBound(t *testing.T) {
 // crashes.
 func TestEngineFailureTombstoned(t *testing.T) {
 	var drops, builds atomic.Int64
-	r, err := New(Config{
+	r, err := New[Inbound](Config{
 		Shards: 1,
 		NewEntity: func(g uint32) (*core.Entity, error) {
+			if g == 0 {
+				// Group 0 is built by New, which fails if it cannot be.
+				return core.New(core.Config{
+					ClusterID: g, ID: 0, N: 2,
+					Window: core.DefaultWindow, BufferUnits: core.DefaultBufferUnits, UnitsPerPDU: core.DefaultUnitsPerPDU,
+				})
+			}
 			builds.Add(1)
 			return nil, errors.New("boom")
 		},
@@ -263,7 +281,7 @@ func TestEngineFailureTombstoned(t *testing.T) {
 		Deliver:        func(uint32, core.Delivery) {},
 		DroppedUnknown: func() { drops.Add(1) },
 		Now:            func() time.Duration { return 0 },
-	})
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +295,7 @@ func TestEngineFailureTombstoned(t *testing.T) {
 	if builds.Load() != 1 {
 		t.Fatalf("engine built %d times, want 1 (tombstone)", builds.Load())
 	}
-	if !r.Quiescent() {
+	if !quiescent(r) {
 		t.Fatal("registry with only tombstones should be quiescent")
 	}
 }
@@ -286,7 +304,7 @@ func TestEngineFailureTombstoned(t *testing.T) {
 // are counted drops, not panics.
 func TestCloseDropsInbound(t *testing.T) {
 	var drops atomic.Int64
-	r, err := New(Config{
+	r, err := New[Inbound](Config{
 		Shards: 2,
 		NewEntity: func(g uint32) (*core.Entity, error) {
 			return core.New(core.Config{
@@ -298,16 +316,16 @@ func TestCloseDropsInbound(t *testing.T) {
 		Deliver:        func(uint32, core.Delivery) {},
 		DroppedUnknown: func() { drops.Add(1) },
 		Now:            func() time.Duration { return 0 },
-	})
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Submit(1, []byte("x")); err != nil {
+	if err := r.Submit(context.Background(), 1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
 	r.Close()
-	if err := r.Submit(1, []byte("y")); !errors.Is(err, ErrClosed) {
+	if err := r.Submit(context.Background(), 1, []byte("y")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after close = %v, want ErrClosed", err)
 	}
 	r.Inbound(1, Inbound{PDUs: []*pdu.PDU{{Kind: pdu.KindAckOnly, Src: 1, ACK: []pdu.Seq{0, 0}, LSrc: pdu.NoEntity}}})

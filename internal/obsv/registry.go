@@ -13,7 +13,7 @@ import (
 
 // SnapshotFunc produces a point-in-time state snapshot of one entity.
 // ok is false when the snapshot could not be taken (for example the
-// node's loop was busy past the snapshot deadline); the scraper then
+// entity's owner loop was busy past the snapshot deadline); the scraper then
 // simply omits that node rather than blocking.
 type SnapshotFunc func() (StateSnapshot, bool)
 
@@ -39,10 +39,11 @@ type nodeEntry struct {
 	em    *EntityMetrics
 	lm    *LinkMetrics
 	snap  SnapshotFunc
-	// fr and epoch publish the node's flight recorder on /tracez
-	// (RegisterFlight); stalls its stall-analyzer provider
+	// fr, group and epoch publish the engine's flight recorder on
+	// /tracez (RegisterFlight); stalls its stall-analyzer provider
 	// (RegisterStalls).
 	fr     *flight.Ring
+	group  uint32
 	epoch  int64
 	stalls StallsFunc
 }

@@ -13,12 +13,12 @@ import (
 // busy past the deadline), mirroring SnapshotFunc.
 type StallsFunc func() ([]Stall, bool)
 
-// RegisterFlight attaches a flight recorder to the node registered
-// under label (the label RegisterNode returned), with the wall-clock
-// epoch (UnixNano) that event timestamps are relative to. Unknown
-// labels get their own entry so group shards can publish rings without
-// entity metrics.
-func (r *Registry) RegisterFlight(label string, fr *flight.Ring, epochUnixNano int64) {
+// RegisterFlight attaches the flight recorder of group's engine to the
+// node registered under label (the label RegisterNode returned), with
+// the wall-clock epoch (UnixNano) that event timestamps are relative
+// to. Unknown labels get their own entry so an engine can publish its
+// ring without entity metrics.
+func (r *Registry) RegisterFlight(label string, group uint32, fr *flight.Ring, epochUnixNano int64) {
 	if r == nil || fr == nil {
 		return
 	}
@@ -27,11 +27,12 @@ func (r *Registry) RegisterFlight(label string, fr *flight.Ring, epochUnixNano i
 	for i := range r.nodes {
 		if r.nodes[i].label == label {
 			r.nodes[i].fr = fr
+			r.nodes[i].group = group
 			r.nodes[i].epoch = epochUnixNano
 			return
 		}
 	}
-	r.nodes = append(r.nodes, nodeEntry{label: label, fr: fr, epoch: epochUnixNano})
+	r.nodes = append(r.nodes, nodeEntry{label: label, fr: fr, group: group, epoch: epochUnixNano})
 }
 
 // RegisterStalls attaches a stall-report provider to the node
@@ -51,12 +52,14 @@ func (r *Registry) RegisterStalls(label string, f StallsFunc) {
 	r.nodes = append(r.nodes, nodeEntry{label: label, stalls: f})
 }
 
-// NodeFlight is one node's flight-recorder dump as served on /tracez:
-// the retained events plus the epoch that converts their relative
+// NodeFlight is one engine's flight-recorder dump as served on /tracez:
+// the retained events, the group whose sequence space their (src, seq)
+// identities belong to, and the epoch that converts their relative
 // nanosecond timestamps to wall time (epoch 0 means virtual time — a
 // simulated entity).
 type NodeFlight struct {
 	Node          string         `json:"node"`
+	Group         uint32         `json:"group,omitempty"`
 	EpochUnixNano int64          `json:"epoch_unix_nano"`
 	Recorded      uint64         `json:"recorded"`
 	Capacity      int            `json:"capacity"`
@@ -80,6 +83,7 @@ func (r *Registry) Tracez() Tracez {
 		}
 		out.Nodes = append(out.Nodes, NodeFlight{
 			Node:          n.label,
+			Group:         n.group,
 			EpochUnixNano: n.epoch,
 			Recorded:      n.fr.Recorded(),
 			Capacity:      n.fr.Cap(),

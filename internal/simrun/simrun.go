@@ -271,8 +271,8 @@ func wireCodec(n, version, stampK int) (sim.NetOption, error) {
 				if errors.Is(err, pdu.ErrDeltaDesync) {
 					// A delta whose reference this channel lost (or a
 					// duplicated delivery replaying one): the datagram's
-					// remainder is dropped like loss, exactly as the
-					// link layer treats it.
+					// remainder is dropped like loss, exactly as a
+					// node's frames treat it.
 					return out
 				}
 				panic(fmt.Sprintf("simrun: decode %d->%d: %v", from, to, err))

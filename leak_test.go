@@ -255,11 +255,14 @@ func waitGone(ids map[int]string, deadline time.Duration) []string {
 
 // TestNodeGoroutineBudget pins the runtime's goroutine structure: an
 // inbound datagram crosses one goroutine boundary, substrate → owner
-// loop, so a node runs exactly its protocol loop and delivery pump on top
-// of whatever its substrate runs — no per-link forwarding goroutine — and
-// Close releases every one of them.
+// loop, so a single-group node runs exactly one owner loop (its home
+// shard) and one delivery pump (its default group port's) on top of
+// whatever its substrate runs — no per-link forwarding goroutine, no
+// idle shard — and Close releases every one of them. Opening another
+// group adds that port's pump, plus its owner shard's loop if that
+// shard is not running yet.
 func TestNodeGoroutineBudget(t *testing.T) {
-	const loopFn, pumpFn = "cobcast.loop[...]", "cobcast.(*Node).pump"
+	const loopFn, pumpFn = "cobcast/internal/groups.run[...]", "cobcast.(*GroupPort).pump"
 
 	t.Run("udp", func(t *testing.T) {
 		before := goroutineEntries()
@@ -305,6 +308,40 @@ func TestNodeGoroutineBudget(t *testing.T) {
 		}
 		if count[loopFn] != n || count[pumpFn] != n {
 			t.Errorf("NewCluster(%d) runs %d loops and %d delivery pumps, want %d each", n, count[loopFn], count[pumpFn], n)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if left := waitGone(ids, 5*time.Second); len(left) > 0 {
+			t.Errorf("goroutines alive after Close: %q", left)
+		}
+	})
+	t.Run("shards=2", func(t *testing.T) {
+		c, err := cobcast.NewCluster(2, cobcast.WithGroupShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := map[int]string{}
+		// Of two shards, even group IDs hash to the home shard and odd
+		// ones to shard 1.
+		for _, step := range []struct {
+			g    cobcast.GroupID
+			want []string
+		}{
+			{2, []string{pumpFn}},
+			{1, []string{pumpFn, loopFn}},
+			{3, []string{pumpFn}},
+		} {
+			before := goroutineEntries()
+			c.Group(0, step.g)
+			got, spawned := spawnedSince(before)
+			sort.Strings(step.want)
+			if strings.Join(got, ",") != strings.Join(step.want, ",") {
+				t.Errorf("opening group %d starts %q, want %q", step.g, got, step.want)
+			}
+			for id, entry := range spawned {
+				ids[id] = entry
+			}
 		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)

@@ -17,9 +17,9 @@ import (
 
 // Transport moves encoded datagrams between nodes. Each datagram is one
 // batch frame (see internal/pdu: a versioned header followed by a
-// length-prefixed sequence of PDU encodings); the node's link layer
-// encodes and decodes frames, so a Transport only moves opaque byte
-// slices. Broadcast must deliver (best-effort) to every other cluster
+// length-prefixed sequence of PDU encodings); the node's frames (see
+// frames.go) encode and decode them, so a Transport only moves opaque
+// byte slices. Broadcast must deliver (best-effort) to every other cluster
 // member; the protocol tolerates loss, duplication and cross-sender
 // reordering, but each pairwise channel must preserve per-sender
 // datagram order (UDP on a LAN and in-memory channels both qualify) —
@@ -37,7 +37,7 @@ type Transport interface {
 
 // BatchTransport is an optional Transport extension for substrates that
 // can move several datagrams in one operation. When a flush has staged
-// more than one frame, the node's link layer hands the whole set to
+// more than one frame, the node's frames hand the whole set to
 // BroadcastBatch instead of looping over Broadcast — the UDP transport's
 // sendmmsg path turns that into a single syscall. BroadcastBatch must
 // transmit the datagrams in slice order toward every peer (preserving
@@ -57,59 +57,43 @@ var ErrClosed = errors.New("cobcast: closed")
 var ErrOverBudget = errors.New("cobcast: memory budget exhausted")
 
 // Node is one cluster member. Create nodes with NewCluster (in-process)
-// or NewNode (custom transport); a node runs its protocol loop on a
-// dedicated goroutine until Close.
+// or NewNode (custom transport); a node runs its groups' engines on the
+// owner loops of its runtime until Close.
 type Node struct {
-	id  int
-	n   int
-	ent *core.Entity
+	id int
+	n  int
+	o  options
 
-	// ledger is the default engine's memory ledger (nil without
-	// WithMemoryBudget); producers consult it before submitting, the
-	// entity (on the loop goroutine) is its only writer. shed selects
-	// the producer behaviour at an exhausted budget.
-	ledger *core.Ledger
-	shed   bool
-
-	// fr is the loop's attachment to the substrate, carrying the
-	// default group as group 0: a memFrames for in-process clusters
-	// (PDUs move as pointers, no serialization) or a wireFrames for
-	// external transports (PDUs move as batch frames). The loop stages
-	// outgoing PDUs on it and flushes once per input burst, so every
-	// PDU produced while draining the queue coalesces into one
-	// datagram. trans is the transport the node owns and closes (nil in
-	// a Cluster, whose network outlives its nodes).
-	fr    groups.Frames
+	// rt runs every engine of the node, the default group's included,
+	// on its shard owner loops; def is the default group's port.
+	rt  *groups.Registry
+	def *GroupPort
+	// trans is the transport the node owns and closes (nil in a
+	// Cluster, whose network outlives its nodes).
 	trans Transport
 
-	// Multi-group state (see group.go): the sharded runtime starts
-	// lazily on the first non-default Group() call or the first
-	// group-addressed inbound frame, so single-group nodes pay nothing.
+	// em and lm are the node's entity and link metrics (nil without
+	// WithObservability): the default group's engine counts into em,
+	// and every shard's frames into lm. flight is the default group's
+	// flight ring (nil when disabled): its engine records lifecycle
+	// events into it, its owner shard adds wire-in/out, producers add
+	// backpressure block/shed, and /tracez scrapes it concurrently.
+	em     *obsv.EntityMetrics
+	lm     *obsv.LinkMetrics
+	flight *flight.Ring
+
+	// Per-group state (see group.go), guarded by groupsMu. evicted lists
+	// the peers Evict removed, applied to every engine built later.
 	groupsMu         sync.Mutex
-	groupRT          *groups.Registry
 	groupPorts       map[GroupID]*GroupPort
 	groupLedgers     map[GroupID]*core.Ledger
 	groupMetricsUsed int
-	gseed            groupSeed
+	evicted          []pdu.EntityID
 
-	// flight is the node's flight recorder (nil when disabled): the
-	// core entity records lifecycle events into it, the loop adds
-	// wire-in/out, producers add backpressure block/shed, and /tracez
-	// scrapes it concurrently.
-	flight *flight.Ring
-
-	submits chan []byte
-	// ctl carries the rare control requests (evict, stats, idle checks,
-	// snapshots) as closures the loop runs between inputs.
-	ctl     chan func()
-	deliver chan Message
-	queue   deliveryQueue
-	start   time.Time
-	tick    time.Duration
+	start time.Time
+	tick  time.Duration
 
 	stop      chan struct{}
-	loopDone  chan struct{}
-	pumpDone  chan struct{}
 	closeOnce sync.Once
 }
 
@@ -160,54 +144,45 @@ func NewNode(id, n int, trans Transport, opts ...Option) (*Node, error) {
 // newNode assembles a node over its substrate: inbox is the
 // substrate's own receive channel, one entry per arriving datagram,
 // closed when the substrate closes; addr names the group each datagram
-// is for. newFrames builds the substrate's groups.Frames, once for the
-// node loop and once per shard if (and only if) the node's group runtime
-// starts; every instance shares the node's link metrics. trans, if
-// non-nil, is closed with the node.
+// is for. newFrames builds the substrate's groups.Frames, once per
+// shard that starts; every instance shares the node's link metrics.
+// trans, if non-nil, is closed with the node.
 func newNode[T any](id, n int, o options, trans Transport, inbox <-chan T, addr func(T) (uint32, groups.Inbound), newFrames func(lm *obsv.LinkMetrics) groups.Frames) (*Node, error) {
-	cfg := o.coreConfig(id, n)
-	cfg.Ledger = o.newLedger()
-	var em *obsv.EntityMetrics
-	var lm *obsv.LinkMetrics
-	if o.registry != nil {
-		em = obsv.NewEntityMetrics()
-		lm = obsv.NewLinkMetrics()
-		cfg.Metrics = em
+	nd := &Node{
+		id:     id,
+		n:      n,
+		o:      o,
+		trans:  trans,
+		flight: o.newFlightRing(),
+		start:  time.Now(),
+		tick:   o.tick(),
+		stop:   make(chan struct{}),
 	}
-	fr := o.newFlightRing()
-	cfg.Flight = fr
-	ent, err := core.New(cfg)
+	if o.registry != nil {
+		nd.em = obsv.NewEntityMetrics()
+		nd.lm = obsv.NewLinkMetrics()
+	}
+	rt, err := groups.New(groups.Config{
+		Shards:         o.groupShards,
+		MaxGroups:      o.maxGroups,
+		NewEntity:      nd.newGroupEntity,
+		NewFrames:      func() groups.Frames { return newFrames(nd.lm) },
+		Deliver:        nd.deliverGroup,
+		DroppedUnknown: nd.lm.UnknownGroup,
+		Tick:           nd.tick,
+		Now:            nd.now,
+	}, inbox, addr)
 	if err != nil {
 		if trans != nil {
 			_ = trans.Close()
 		}
-		return nil, fmt.Errorf("cobcast: node %d: %w", id, err)
+		return nil, err
 	}
-	frames := func() groups.Frames { return newFrames(lm) }
-	nd := &Node{
-		id:       id,
-		n:        n,
-		ent:      ent,
-		flight:   fr,
-		ledger:   cfg.Ledger,
-		shed:     o.backpressure == BackpressureShed,
-		fr:       frames(),
-		trans:    trans,
-		submits:  make(chan []byte, 64),
-		ctl:      make(chan func()),
-		deliver:  make(chan Message),
-		start:    time.Now(),
-		tick:     o.tick(),
-		stop:     make(chan struct{}),
-		loopDone: make(chan struct{}),
-		pumpDone: make(chan struct{}),
-		gseed:    groupSeed{o: o, lm: lm, newFrames: frames},
-	}
-	go loop(nd, inbox, addr)
-	go nd.pump()
+	nd.rt = rt
+	nd.def = nd.Group(DefaultGroup)
 	if o.registry != nil {
-		label := o.registry.RegisterNode(strconv.Itoa(id), em, lm, nd.StateSnapshot)
-		o.registry.RegisterFlight(label, fr, nd.start.UnixNano())
+		label := o.registry.RegisterNode(strconv.Itoa(id), nd.em, nd.lm, nd.StateSnapshot)
+		o.registry.RegisterFlight(label, 0, nd.flight, nd.start.UnixNano())
 		o.registry.RegisterStalls(label, nd.Stalls)
 	}
 	return nd, nil
@@ -220,10 +195,9 @@ func (nd *Node) ID() int { return nd.id }
 // cluster (including this node: the message comes back on Deliveries once
 // it is fully acknowledged). The data is copied. With WithMemoryBudget in
 // BackpressureBlock mode it blocks while the budget is exhausted; use
-// BroadcastContext for a cancellable wait.
-func (nd *Node) Broadcast(data []byte) error {
-	return nd.BroadcastContext(context.Background(), data)
-}
+// BroadcastContext for a cancellable wait. It is the default group
+// port's Broadcast.
+func (nd *Node) Broadcast(data []byte) error { return nd.def.Broadcast(data) }
 
 // BroadcastContext is Broadcast bounded by a context: cancellation
 // unblocks a producer waiting on the memory budget or on the submit
@@ -232,28 +206,7 @@ func (nd *Node) Broadcast(data []byte) error {
 // check happens before anything is sequenced, so a cancelled or shed
 // broadcast leaves no trace in protocol state.
 func (nd *Node) BroadcastContext(ctx context.Context, data []byte) error {
-	if err := nd.admit(ctx, nd.ledger); err != nil {
-		return err
-	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	// Check for shutdown first: with a buffered submit channel the
-	// select below could otherwise pick the send case even after Close.
-	select {
-	case <-nd.stop:
-		return ErrClosed
-	default:
-	}
-	select {
-	case nd.submits <- buf:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-nd.stop:
-		return ErrClosed
-	case <-nd.loopDone:
-		return ErrClosed
-	}
+	return nd.def.BroadcastContext(ctx, data)
 }
 
 // admit applies producer-side backpressure against a memory ledger: nil
@@ -264,7 +217,7 @@ func (nd *Node) admit(ctx context.Context, l *core.Ledger) error {
 	if l == nil || !l.OverBudget() {
 		return nil
 	}
-	if nd.shed {
+	if nd.o.backpressure == BackpressureShed {
 		l.NoteShed()
 		nd.flight.Record(flight.EvShed, 0, int32(nd.id), 0, int32(pdu.NoEntity), int64(nd.now()))
 		return ErrOverBudget
@@ -284,78 +237,67 @@ func (nd *Node) admit(ctx context.Context, l *core.Ledger) error {
 			return ctx.Err()
 		case <-nd.stop:
 			return ErrClosed
-		case <-nd.loopDone:
-			return ErrClosed
 		}
 	}
 }
 
 // Deliveries returns the stream of causally ordered messages. The channel
 // is closed by Close. Consumers should drain it promptly; undelivered
-// messages are buffered without bound.
-func (nd *Node) Deliveries() <-chan Message { return nd.deliver }
-
-// onLoop runs f on the loop goroutine between inputs and waits for it
-// to return. It reports false, without running f, if the loop has
-// exited or timeout (nil for none) fires first.
-func (nd *Node) onLoop(f func(), timeout <-chan time.Time) bool {
-	done := make(chan struct{})
-	select {
-	case nd.ctl <- func() { f(); close(done) }:
-		<-done
-		return true
-	case <-nd.loopDone:
-		return false
-	case <-timeout:
-		return false
-	}
-}
-
-// inspect runs read against the entity between inputs on the loop
-// goroutine, or directly once the loop has exited (the entity is no
-// longer mutated). It reports false if timeout fired first.
-func (nd *Node) inspect(read func(), timeout <-chan time.Time) bool {
-	if nd.onLoop(read, timeout) {
-		return true
-	}
-	select {
-	case <-nd.loopDone:
-		read()
-		return true
-	default:
-		return false
-	}
-}
+// messages are buffered without bound. It is the default group port's
+// Deliveries.
+func (nd *Node) Deliveries() <-chan Message { return nd.def.Deliveries() }
 
 // Evict removes a crashed or unreachable node from this node's
-// confirmation quorum so acknowledgment progress no longer waits for it.
-// Every surviving node must evict the same member. See DESIGN.md for the
-// extension's guarantees and limitations (no virtual synchrony, no
-// rejoin); WithSuspectTimeout automates the decision.
+// confirmation quorum, in every group, so acknowledgment progress no
+// longer waits for it; groups whose engines are built later start
+// without it. Every surviving node must evict the same member. See
+// DESIGN.md for the extension's guarantees and limitations (no virtual
+// synchrony, no rejoin); WithSuspectTimeout automates the decision.
 func (nd *Node) Evict(id int) error {
+	k := pdu.EntityID(id)
 	var err error
-	if !nd.onLoop(func() {
+	// The default group validates the ID; every engine shares its n and
+	// its own ID, so the others would accept and reject alike.
+	if !nd.rt.Update(0, func(e *core.Entity, now time.Duration) core.Output {
 		var out core.Output
-		out, err = nd.ent.Evict(pdu.EntityID(id), nd.now())
-		nd.dispatch(out)
-	}, nil) {
+		out, err = e.Evict(k, now)
+		return out
+	}) {
 		return ErrClosed
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	nd.groupsMu.Lock()
+	nd.evicted = append(nd.evicted, k)
+	nd.groupsMu.Unlock()
+	// Recorded before the sweep, so an engine built meanwhile either
+	// starts with k evicted or is visited by the sweep.
+	if !nd.rt.Each(func(_ uint32, e *core.Entity, now time.Duration) core.Output {
+		out, _ := e.Evict(k, now)
+		return out
+	}) {
+		return ErrClosed
+	}
+	return nil
 }
 
 // WaitIdle blocks until this node owes the cluster nothing — every
-// message it submitted or accepted has been fully acknowledged and
-// delivered — or the timeout passes. It is a local view: other nodes may
-// still be catching up. Useful to flush before shutdown.
+// message it submitted or accepted, in every group, has been fully
+// acknowledged and delivered — or the timeout passes. It is a local
+// view: other nodes may still be catching up. Useful to flush before
+// shutdown.
 func (nd *Node) WaitIdle(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		var idle bool
-		if !nd.onLoop(func() { idle = nd.ent.Quiescent() }, nil) {
+		idle := true
+		if !nd.rt.Each(func(_ uint32, e *core.Entity, _ time.Duration) core.Output {
+			idle = idle && e.Quiescent()
+			return core.Output{}
+		}) {
 			return ErrClosed
 		}
-		if idle && nd.groupsIdle() {
+		if idle {
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -365,40 +307,46 @@ func (nd *Node) WaitIdle(timeout time.Duration) error {
 	}
 }
 
-// Stats returns a snapshot of the node's protocol counters.
+// Stats returns a snapshot of the node's protocol counters for the
+// default group.
 func (nd *Node) Stats() Stats {
-	var s core.Stats
-	nd.inspect(func() { s = nd.ent.Stats() }, nil)
-	return fromCoreStats(s)
+	s, _ := nd.def.Stats()
+	return s
 }
 
-// snapshotTimeout bounds how long a scraper waits for the loop to
-// service a state-snapshot request; a loop busy past it simply drops
-// off that scrape rather than stalling the endpoint.
+// snapshotTimeout bounds how long a scraper waits for an owner loop to
+// take a state-snapshot request; a loop busy past it simply drops off
+// that scrape rather than stalling the endpoint.
 const snapshotTimeout = 100 * time.Millisecond
 
 // Stalls returns the stall-analyzer verdicts for every undelivered
-// message this node is holding: the pipeline stage, the unmet flow-
-// condition term, and the peers whose confirmations are missing. Empty
-// when nothing is stuck. ok is false if the loop stayed busy past the
-// snapshot timeout. It is the node's obsv.StallsFunc; /statez includes
-// the report on every scrape.
-func (nd *Node) Stalls() ([]obsv.Stall, bool) {
+// message this node is holding in the default group: the pipeline
+// stage, the unmet flow-condition term, and the peers whose
+// confirmations are missing. Empty when nothing is stuck. ok is false
+// if the loop stayed busy past the snapshot timeout. It is the node's
+// obsv.StallsFunc; /statez includes the report on every scrape.
+func (nd *Node) Stalls() ([]obsv.Stall, bool) { return nd.groupStalls(0) }
+
+func (nd *Node) groupStalls(g uint32) ([]obsv.Stall, bool) {
 	var sts []obsv.Stall
 	timer := time.NewTimer(snapshotTimeout)
 	defer timer.Stop()
-	ok := nd.inspect(func() { sts = nd.ent.Stalls(nd.now(), 0) }, timer.C)
+	ok := nd.rt.Inspect(g, timer.C, func(e *core.Entity) { sts = e.Stalls(nd.now(), 0) })
 	return sts, ok
 }
 
 // StateSnapshot returns a consistent copy of the node's live protocol
-// state (sequence numbers, confirmation minima, log depths, buffer
-// occupancy), taken between inputs on the protocol loop. ok is false
-// if the loop stayed busy past an internal timeout. It is the node's
-// obsv.SnapshotFunc; the registry and /statez call it on scrapes.
-func (nd *Node) StateSnapshot() (obsv.StateSnapshot, bool) {
+// state for the default group (sequence numbers, confirmation minima,
+// log depths, buffer occupancy), taken between inputs on its owner
+// loop. ok is false if the loop stayed busy past an internal timeout.
+// It is the node's obsv.SnapshotFunc; the registry and /statez call it
+// on scrapes.
+func (nd *Node) StateSnapshot() (obsv.StateSnapshot, bool) { return nd.groupSnapshot(0) }
+
+func (nd *Node) groupSnapshot(g uint32) (obsv.StateSnapshot, bool) {
 	var s obsv.StateSnapshot
-	ok := nd.StateSnapshotInto(&s)
+	ok := nd.groupSnapshotInto(g, &s)
+	s.Group = g
 	return s, ok
 }
 
@@ -408,28 +356,37 @@ func (nd *Node) StateSnapshot() (obsv.StateSnapshot, bool) {
 // allocations a fresh snapshot costs. On false (loop busy past the
 // timeout) dst is untouched. dst must not be scraped into again while
 // a previous fill is still being read elsewhere.
-func (nd *Node) StateSnapshotInto(dst *obsv.StateSnapshot) bool {
+func (nd *Node) StateSnapshotInto(dst *obsv.StateSnapshot) bool { return nd.groupSnapshotInto(0, dst) }
+
+func (nd *Node) groupSnapshotInto(g uint32, dst *obsv.StateSnapshot) bool {
 	timer := time.NewTimer(snapshotTimeout)
 	defer timer.Stop()
-	// Once the loop accepts the request it owns dst until the fill
-	// returns, so onLoop waits for it without a timeout (abandoning dst
+	// Once the loop takes the request it owns dst until the fill
+	// returns, so Inspect waits for it without a timeout (abandoning dst
 	// there would race the loop's write).
-	return nd.inspect(func() { nd.ent.SnapshotInto(dst) }, timer.C)
+	return nd.rt.Inspect(g, timer.C, func(e *core.Entity) { e.SnapshotInto(dst) })
 }
 
 // Close stops the node's goroutines, closes its transport (when created
-// via NewNode) and closes the delivery channel.
+// via NewNode) and closes the delivery channels.
 func (nd *Node) Close() error {
 	var err error
 	nd.closeOnce.Do(func() {
 		close(nd.stop)
-		<-nd.loopDone
-		// Group runtime first: stopping the shards ends group-port queue
-		// pushes before those queues close.
-		nd.closeGroups()
-		nd.queue.close()
-		<-nd.pumpDone
-		close(nd.deliver)
+		// Runtime first: stopping the shards ends delivery-queue pushes
+		// before those queues close.
+		nd.rt.Close()
+		nd.groupsMu.Lock()
+		ports := make([]*GroupPort, 0, len(nd.groupPorts))
+		for _, p := range nd.groupPorts {
+			ports = append(ports, p)
+		}
+		nd.groupsMu.Unlock()
+		for _, p := range ports {
+			p.queue.close()
+			<-p.pumpDone
+			close(p.deliver)
+		}
 		if nd.trans != nil {
 			err = nd.trans.Close()
 		}
@@ -439,164 +396,6 @@ func (nd *Node) Close() error {
 
 // now is the node's protocol clock: time since the node started.
 func (nd *Node) now() time.Duration { return time.Since(nd.start) }
-
-// loop serializes every entity input on one goroutine, receiving
-// inbound datagrams straight from the substrate's own channel. Outgoing
-// PDUs are staged on the frames as they are produced; the loop flushes
-// them as one batched datagram only when its inputs go idle, so a burst
-// of arrivals (or one input producing several PDUs) coalesces into a
-// single frame — flush-on-loop-idle batching.
-func loop[T any](nd *Node, in <-chan T, addr func(T) (uint32, groups.Inbound)) {
-	defer close(nd.loopDone)
-	ticker := time.NewTicker(nd.tick)
-	defer ticker.Stop()
-	// Bound once: a method value passed per datagram would allocate.
-	recv := nd.receive
-
-	for {
-		// Block for the next input…
-		select {
-		case <-nd.stop:
-			return
-		case data := <-nd.submits:
-			nd.dispatch(nd.ent.Submit(data, nd.now()))
-		case b, ok := <-in:
-			if !ok {
-				return
-			}
-			g, gin := addr(b)
-			nd.route(g, gin, recv)
-		case <-ticker.C:
-			nd.dispatch(nd.ent.Tick(nd.now()))
-		case f := <-nd.ctl:
-			f()
-		}
-		// …then drain everything already pending, so the PDUs all of it
-		// produces share one flush. Each pass polls every input once,
-		// round-robin, with a single-case non-blocking receive — a
-		// lock-free check on an empty channel, where re-arming the full
-		// select would lock every channel — until a pass finds nothing.
-		for more := true; more; {
-			more = false
-			select {
-			case <-nd.stop:
-				return
-			default:
-			}
-			select {
-			case data := <-nd.submits:
-				nd.dispatch(nd.ent.Submit(data, nd.now()))
-				more = true
-			default:
-			}
-			select {
-			case b, ok := <-in:
-				if !ok {
-					return
-				}
-				g, gin := addr(b)
-				nd.route(g, gin, recv)
-				more = true
-			default:
-			}
-			select {
-			case <-ticker.C:
-				nd.dispatch(nd.ent.Tick(nd.now()))
-				more = true
-			default:
-			}
-			select {
-			case f := <-nd.ctl:
-				f()
-				more = true
-			default:
-			}
-		}
-		nd.fr.Flush()
-	}
-}
-
-// route hands one arriving datagram, addressed to group g, to its
-// owner. The default group decodes here on the loop, each PDU going to
-// recv under the entity Receive contract: sequenced PDUs are owned by
-// the callee, unsequenced ones may be frames scratch reused after recv
-// returns. Other groups go whole to the multi-group runtime's owner
-// shard. A group ID past pdu.MaxGroupID (a corrupted or hostile header)
-// is dropped whole and counted as unknown-group loss.
-func (nd *Node) route(g uint32, in groups.Inbound, recv func(p *pdu.PDU)) {
-	switch {
-	case g > pdu.MaxGroupID:
-		nd.gseed.lm.UnknownGroup()
-		if in.Raw != nil {
-			pdu.PutDatagram(in.Raw)
-		}
-	case g != 0:
-		nd.groupRuntime().Inbound(g, in)
-	default:
-		nd.fr.Deliver(0, in, recv)
-	}
-}
-
-func (nd *Node) receive(p *pdu.PDU) {
-	now := nd.now()
-	nd.recordWire(flight.EvWireIn, p, now)
-	out, err := nd.ent.Receive(p, now)
-	// Receive errors mark malformed or foreign PDUs; the entity counts
-	// them in InvalidPDUs and the protocol carries on.
-	_ = err
-	nd.dispatch(out)
-}
-
-// recordWire notes one PDU crossing the node/network boundary. A RET
-// identifies itself by the PDU it chases (LSrc#LSeq), so that is what
-// the span assembler needs in the Src/Seq slots; Peer then carries the
-// requester-visible source for cross-referencing.
-func (nd *Node) recordWire(t flight.EventType, p *pdu.PDU, now time.Duration) {
-	if nd.flight == nil {
-		return
-	}
-	src, seq, peer := p.Src, p.SEQ, pdu.NoEntity
-	if p.Kind == pdu.KindRet {
-		src, seq, peer = p.LSrc, p.LSeq, p.Src
-	}
-	nd.flight.Record(t, uint8(p.Kind), int32(src), uint64(seq), int32(peer), int64(now))
-}
-
-// dispatch stages an entity's output PDUs on the frames as group 0
-// (sent at the next flush) and queues its deliveries.
-func (nd *Node) dispatch(out core.Output) {
-	if nd.flight != nil && len(out.PDUs) > 0 {
-		now := nd.now()
-		for _, p := range out.PDUs {
-			nd.recordWire(flight.EvWireOut, p, now)
-		}
-	}
-	for _, p := range out.PDUs {
-		nd.fr.Append(0, p)
-	}
-	for _, d := range out.Deliveries {
-		nd.queue.push(Message{Src: int(d.Src), Seq: uint64(d.SEQ), Data: d.Data, LTime: d.LTime})
-	}
-}
-
-// pump moves messages from the unbounded queue to the delivery channel so
-// a slow consumer never stalls the protocol loop.
-func (nd *Node) pump() {
-	defer close(nd.pumpDone)
-	for {
-		m, ok := nd.queue.pop()
-		if !ok {
-			return
-		}
-		select {
-		case nd.deliver <- m:
-		case <-nd.stop:
-			// Drain the rest so close is prompt; consumers that closed
-			// early asked for this.
-			return
-		}
-	}
-}
 
 // deliveryQueue is an unbounded FIFO with blocking pop.
 type deliveryQueue struct {

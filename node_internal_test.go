@@ -104,7 +104,7 @@ func TestDeliveryQueueConcurrentPushPopClose(t *testing.T) {
 //
 // The TestWireLink*/TestMemLink* tests cover the node's link to its
 // substrate: the wireFrames and memFrames framers, used with group 0
-// as the node loop uses them and with other groups as shards do.
+// and with other groups, as every owner loop uses them.
 
 // chanTransport is an in-process Transport capturing broadcast frames.
 // BroadcastBatch is only reachable through batchTransport.

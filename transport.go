@@ -8,8 +8,8 @@ import (
 // MaxDatagram is the largest datagram the UDP transport accepts. A
 // datagram carries one batch frame whose size grows with the number of
 // batched PDUs and O(n) per PDU via the ACK vector, so payloads must
-// stay comfortably below this bound. The node's link layer flushes a
-// frame before it would cross MaxDatagram.
+// stay comfortably below this bound. The node's frames seal a frame
+// before it would cross MaxDatagram.
 const MaxDatagram = udpnet.MaxDatagram
 
 // ErrDatagramTooLarge is returned by UDPTransport.Broadcast for
@@ -128,8 +128,8 @@ func (u *UDPTransport) Broadcast(datagram []byte) error { return u.t.Broadcast(d
 func (u *UDPTransport) BroadcastBatch(datagrams [][]byte) error { return u.t.BroadcastBatch(datagrams) }
 
 // Recv implements Transport. Delivered slices are whole datagrams (batch
-// frames) backed by the pdu datagram pool; the node's link layer decodes
-// each frame and recycles the buffer via pdu.PutDatagram.
+// frames) backed by the pdu datagram pool; the node's frames decode
+// each one and recycle the buffer via pdu.PutDatagram.
 func (u *UDPTransport) Recv() <-chan []byte { return u.t.Recv() }
 
 // Close implements Transport.
